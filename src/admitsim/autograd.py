@@ -29,6 +29,7 @@ __all__ = [
     "select_positions",
     "tsum",
     "tmean",
+    "logistic",
     "sigmoid",
     "tanh",
     "gelu",
@@ -36,6 +37,7 @@ __all__ = [
     "layer_norm",
     "dropout",
     "embedding_sum",
+    "lstm_layer",
     "bce_with_logits",
     "backward",
     "AdamW",
@@ -272,9 +274,17 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(out, 1.0 / count)
 
 
+def logistic(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of a plain array, as 0.5 (1 + tanh(z / 2)).
+
+    The tanh form cannot overflow for any z, keeps the input's dtype, and
+    needs one transcendental call instead of the two exps of the branchy form.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)), np.exp(a.data) / (1.0 + np.exp(a.data)))
-    out_data = out_data.astype(a.data.dtype)
+    out_data = logistic(a.data)
 
     def bw(g: np.ndarray) -> None:
         a.accumulate(g * out_data * (1.0 - out_data))
@@ -297,12 +307,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU in its tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    # x * x * x, not x**3: numpy's float32 power is two orders slower
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 
     def bw(g: np.ndarray) -> None:
-        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * x**2)
+        d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
         grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         a.accumulate(g * grad)
 
@@ -363,28 +374,97 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
 
 
 def embedding_sum(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Look up idx (B, C, L) rows in table (V, H) and sum over channels."""
+    """Look up idx (B, C, L) rows in table (V, H) and sum over channels.
+
+    The backward pass scatters through a (V, B*L) matrix counting how often
+    each token occurs at each position, times the (B*L, H) output gradient.
+    The count matrix is smaller than the (B*L*C, H) buffer of repeated
+    gradient rows that a sort-and-reduce scatter needs whenever V < C*H.
+    """
     idx = np.asarray(idx)
     if idx.ndim != 3:
         raise ValueError("expected a (batch, channels, length) index grid")
-    gathered = table.data[idx]  # (B, C, L, H)
-    out_data = gathered.sum(axis=1)
+    # channel by channel: the same sums, without a (B, C, L, H) gather
+    out_data = table.data[idx[:, 0]]
+    for ch in range(1, idx.shape[1]):
+        out_data += table.data[idx[:, ch]]
 
     def bw(g: np.ndarray) -> None:
-        # scatter-add via sort + reduceat: much faster than np.add.at
         b, c, l = idx.shape
-        h = table.data.shape[1]
-        flat_idx = idx.transpose(0, 2, 1).reshape(-1)  # (B*L*C,)
-        rows = np.repeat(g.reshape(-1, h), c, axis=0)
-        order = np.argsort(flat_idx, kind="stable")
-        sorted_idx = flat_idx[order]
-        starts = np.nonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))[0]
-        sums = np.add.reduceat(rows[order], starts, axis=0)
-        gt = np.zeros_like(table.data)
-        gt[sorted_idx[starts]] = sums
-        table.accumulate(gt)
+        v, h = table.data.shape
+        counts = np.zeros((v, b * l), dtype=g.dtype)
+        positions = np.arange(b * l).reshape(b, l)
+        # one channel never repeats a (token, position) cell, so += cannot drop a count
+        for ch in range(c):
+            counts[idx[:, ch], positions] += 1.0
+        table.accumulate(counts @ g.reshape(b * l, h))
 
     return _make(out_data, (table,), bw)
+
+
+def lstm_layer(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor) -> Tensor:
+    """One LSTM layer over a whole (B, L, D) sequence; returns (B, L, H).
+
+    Gates are laid out [input, forget, candidate, output] along the 4H axis
+    of ``wx`` (D, 4H), ``wh`` (H, 4H) and ``bias`` (4H,).  The input
+    projection of every position is one matmul ahead of the time loop; the
+    loop adds the recurrent term and keeps the gate activations, cells and
+    tanh(cell) that backpropagation through time needs.  The backward loop
+    only carries the recurrence; the weight, bias and input gradients are
+    one matmul or reduction each over the stacked gate gradients.  The
+    state starts at zero.
+    """
+    xd, whd = x.data, wh.data
+    b, l, d = xd.shape
+    h = whd.shape[0]
+    gates = xd @ wx.data + bias.data  # (B, L, 4H), activated in place below
+    cells = np.empty((b, l, h), dtype=gates.dtype)
+    tanh_cells = np.empty_like(cells)
+    hs = np.empty_like(cells)
+    h_t = np.zeros((b, h), dtype=gates.dtype)
+    c_t = np.zeros_like(h_t)
+    for t in range(l):
+        z = gates[:, t]
+        z += h_t @ whd
+        z[:, : 2 * h] = logistic(z[:, : 2 * h])
+        z[:, 2 * h : 3 * h] = np.tanh(z[:, 2 * h : 3 * h])
+        z[:, 3 * h :] = logistic(z[:, 3 * h :])
+        c_t = z[:, h : 2 * h] * c_t + z[:, :h] * z[:, 2 * h : 3 * h]
+        cells[:, t] = c_t
+        np.tanh(c_t, out=tanh_cells[:, t])
+        h_t = z[:, 3 * h :] * tanh_cells[:, t]
+        hs[:, t] = h_t
+
+    def bw(g: np.ndarray) -> None:
+        dz = np.empty_like(gates)
+        dh_next = np.zeros((b, h), dtype=gates.dtype)
+        dc_next = np.zeros_like(dh_next)
+        for t in range(l - 1, -1, -1):
+            gi, gf, gg, go = (gates[:, t, k * h : (k + 1) * h] for k in range(4))
+            tc = tanh_cells[:, t]
+            dh = g[:, t] + dh_next
+            dc = dh * go * (1.0 - tc * tc) + dc_next
+            c_prev = cells[:, t - 1] if t > 0 else 0.0
+            dz_t = dz[:, t]
+            dz_t[:, :h] = dc * gg * gi * (1.0 - gi)
+            dz_t[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
+            dz_t[:, 2 * h : 3 * h] = dc * gi * (1.0 - gg * gg)
+            dz_t[:, 3 * h :] = dh * tc * go * (1.0 - go)
+            dc_next = dc * gf
+            dh_next = dz_t @ whd.T
+        flat_dz = dz.reshape(b * l, 4 * h)
+        if x.requires_grad:
+            x.accumulate(dz @ wx.data.T)
+        if wx.requires_grad:
+            wx.accumulate(xd.reshape(b * l, d).T @ flat_dz)
+        if wh.requires_grad:
+            h_prev = np.zeros_like(hs)
+            h_prev[:, 1:] = hs[:, :-1]
+            wh.accumulate(h_prev.reshape(b * l, h).T @ flat_dz)
+        if bias.requires_grad:
+            bias.accumulate(flat_dz.sum(axis=0))
+
+    return _make(hs, (x, wx, wh, bias), bw)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -397,7 +477,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     out_data = np.asarray(loss.mean(), dtype=z.dtype)
 
     def bw(g: np.ndarray) -> None:
-        p = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        p = logistic(z)
         logits.accumulate((g * (p - y) / y.size).astype(z.dtype))
 
     return _make(out_data, (logits,), bw)

@@ -398,12 +398,11 @@ def _open_csv(path: str):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
-def _write_manifest(out: str, command: str, cfg: dict, jobs: int, inputs, outputs, notes=None) -> str:
+def _write_manifest(out: str, command: str, cfg: dict, inputs, outputs, notes=None) -> str:
     manifest = {
         "command": command,
         "config_hash": config_hash(cfg),
         "seed": cfg["seed"],
-        "jobs": jobs,
         "versions": {
             "admitsim": __version__,
             "numpy": np.__version__,
@@ -521,21 +520,25 @@ def _save_schema(path: str, schema: FeatureSchema) -> None:
             "expand_ordinals": schema.expand_ordinals,
             "continuous": list(schema.continuous),
             "binary": list(schema.binary),
-            "ordinals": {k: list(v) for k, v in schema.ordinals.items()},
-            "nominals": {k: list(v) for k, v in schema.nominals.items()},
+            # [name, values] pairs: _dump_json sorts map keys, and the order
+            # of these maps is the order of the feature columns
+            "ordinals": [[k, list(v)] for k, v in schema.ordinals.items()],
+            "nominals": [[k, list(v)] for k, v in schema.nominals.items()],
         },
     )
 
 
 def _load_schema(path: str) -> FeatureSchema:
     payload = _load_json(path)
+    if isinstance(payload["ordinals"], dict) or isinstance(payload["nominals"], dict):
+        raise ValueError(f"{path} stores its categorical blocks unordered; re-run `admitsim train`")
     return FeatureSchema(
         variant=payload["variant"],
         expand_ordinals=bool(payload["expand_ordinals"]),
         continuous=tuple(payload["continuous"]),
         binary=tuple(payload["binary"]),
-        ordinals={k: tuple(v) for k, v in payload["ordinals"].items()},
-        nominals={k: tuple(v) for k, v in payload["nominals"].items()},
+        ordinals={k: tuple(v) for k, v in payload["ordinals"]},
+        nominals={k: tuple(v) for k, v in payload["nominals"]},
     )
 
 
@@ -551,7 +554,7 @@ def cmd_generate(cfg: dict, args) -> int:
         raise ConfigError(f"config.cohort is invalid: {exc}") from exc
     cohort = generate_cohort(gen_cfg, cfg["seed"])
     save_cohort(cohort, os.path.join(out, COHORT_FILE))
-    _write_manifest(out, "generate", cfg, args.jobs, inputs=[], outputs=[COHORT_FILE])
+    _write_manifest(out, "generate", cfg, inputs=[], outputs=[COHORT_FILE])
     print(f"generated {len(cohort)} students across {len(cohort.programs)} programs")
     return 0
 
@@ -593,7 +596,7 @@ def cmd_encode(cfg: dict, args) -> int:
         **counts,
     }
     _dump_json(os.path.join(out, ENCODE_META_FILE), meta)
-    _write_manifest(out, "encode", cfg, args.jobs, inputs=[COHORT_FILE], outputs=outputs)
+    _write_manifest(out, "encode", cfg, inputs=[COHORT_FILE], outputs=outputs)
     print(
         f"encoded {counts['n_train']}/{counts['n_val']}/{counts['n_test']} train/val/test students "
         f"at length {length} with {len(vocab)} tokens"
@@ -688,7 +691,7 @@ def cmd_train(cfg: dict, args) -> int:
         inputs, outputs, notes = _train_tabular(cfg, args, out)
     else:
         inputs, outputs, notes = _train_sequence(cfg, out)
-    _write_manifest(out, "train", cfg, args.jobs, inputs=inputs, outputs=outputs, notes=notes)
+    _write_manifest(out, "train", cfg, inputs=inputs, outputs=outputs, notes=notes)
     print(f"trained {family} model on the {cfg['variant']} variant")
     return 0
 
@@ -729,7 +732,7 @@ def cmd_predict(cfg: dict, args) -> int:
     table = build_risk_table(students, probs)
     table.to_csv(os.path.join(out, _risk_file(split)))
     outputs = [_predictions_file(split), _risk_file(split)]
-    _write_manifest(out, "predict", cfg, args.jobs, inputs=inputs, outputs=outputs)
+    _write_manifest(out, "predict", cfg, inputs=inputs, outputs=outputs)
     print(f"scored {len(students)} students on the {split} split")
     return 0
 
@@ -753,7 +756,7 @@ def cmd_evaluate(cfg: dict, args) -> int:
             writer.writerow([name, _g(corr[name])])
 
     _write_manifest(
-        out, "evaluate", cfg, args.jobs, inputs=[_risk_file(split)], outputs=[AUC_FILE, CORRELATIONS_FILE]
+        out, "evaluate", cfg, inputs=[_risk_file(split)], outputs=[AUC_FILE, CORRELATIONS_FILE]
     )
     print(f"auc {value:.4f} (se {se:.4f}) on {len(table.p_hat)} {split} students")
     return 0
@@ -820,7 +823,6 @@ def cmd_contract(cfg: dict, args) -> int:
         out,
         "contract",
         cfg,
-        args.jobs,
         inputs=[_risk_file(split)],
         outputs=[CURVE_FILE, COUNTERFACTUAL_FILE],
         notes=notes,
@@ -888,7 +890,6 @@ def cmd_audit_fairness(cfg: dict, args) -> int:
         out,
         "audit-fairness",
         cfg,
-        args.jobs,
         inputs=[_risk_file(split)],
         outputs=[FAIRNESS_FILE, ABROCA_FILE],
     )
@@ -910,7 +911,6 @@ def cmd_explain(cfg: dict, args) -> int:
         out,
         "explain",
         cfg,
-        args.jobs,
         inputs=[MODEL_BIN_FILE, _batch_file(split)],
         outputs=[SALIENCY_POSITIONS_FILE, SALIENCY_CHANNELS_FILE],
     )
@@ -973,7 +973,7 @@ def cmd_match(cfg: dict, args) -> int:
         f"year {year}: {len(applicants)} applicants, {len(outcome.unassigned)} unassigned, "
         f"{len(blocking)} blocking pairs"
     ]
-    _write_manifest(out, "match", cfg, args.jobs, inputs=[COHORT_FILE], outputs=[MATCHES_FILE], notes=notes)
+    _write_manifest(out, "match", cfg, inputs=[COHORT_FILE], outputs=[MATCHES_FILE], notes=notes)
     print(notes[0])
     return 0
 
@@ -1009,7 +1009,7 @@ def cmd_econ(cfg: dict, args) -> int:
             writer.writerow(["mvpf", "" if ratio is None else _g(ratio)])
 
     _write_manifest(
-        out, "econ", cfg, args.jobs, inputs=[], outputs=[ECON_SCENARIOS_FILE, ECON_HEADLINE_FILE]
+        out, "econ", cfg, inputs=[], outputs=[ECON_SCENARIOS_FILE, ECON_HEADLINE_FILE]
     )
     print(f"econ grid written with {len(results)} scenarios")
     return 0
@@ -1052,7 +1052,7 @@ def cmd_report(cfg: dict, args) -> int:
 
     outputs = [os.path.join(REPORT_DIR, target) for _, target, _ in _REPORT_SOURCES]
     inputs = [src for src, _, _ in _REPORT_SOURCES] if runs == [out] else []
-    _write_manifest(out, "report", cfg, args.jobs, inputs=inputs, outputs=outputs)
+    _write_manifest(out, "report", cfg, inputs=inputs, outputs=outputs)
     print(f"report assembled from {len(runs)} run(s) into {report_dir}")
     return 0
 

@@ -240,11 +240,14 @@ def separation_tests(
     return tpr, fpr
 
 
+_SUFFICIENCY_BINS = 5
+
+
 def sufficiency_test(
     table: RiskTable,
     attribute: str,
     alpha_per_bin: float = 0.01,
-    n_bins: int = 5,
+    n_bins: int = _SUFFICIENCY_BINS,
 ) -> SufficiencyVerdict:
     """Test whether outcomes given the score are group-independent.
 
@@ -275,11 +278,14 @@ def sufficiency_test(
 
 
 def audit_attribute(table: RiskTable, attribute: str, alpha: float = 0.05) -> dict:
-    """Run the full battery for one attribute."""
+    """Run the full battery for one attribute.
+
+    Sufficiency tests each of its score bins at ``alpha`` over the number of bins.
+    """
     tpr, fpr = separation_tests(table, attribute, alpha)
     return {
         "independence": independence_test(table, attribute, alpha),
         "separation_tpr": tpr,
         "separation_fpr": fpr,
-        "sufficiency": sufficiency_test(table, attribute),
+        "sufficiency": sufficiency_test(table, attribute, alpha_per_bin=alpha / _SUFFICIENCY_BINS),
     }

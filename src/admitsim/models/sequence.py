@@ -200,35 +200,17 @@ class LSTMClassifier(_SequenceModel):
         self._need_rng(training, rng)
         cfg = self.config
         p = self._params
-        b, l, h = emb.shape
         lengths = np.asarray(lengths)
-        real = (np.arange(l)[None, :] < lengths[:, None]).astype(self.dtype)
-
-        zero = np.zeros((b, h), dtype=self.dtype)
-        hidden = [ag.tensor(zero.copy()) for _ in range(cfg.n_layers)]
-        cell = [ag.tensor(zero.copy()) for _ in range(cfg.n_layers)]
-        last = ag.tensor(zero.copy())
-        for t in range(l):
-            inp = ag.reshape(ag.narrow(emb, 1, t, 1), (b, h))
-            for i in range(cfg.n_layers):
-                if i > 0:
-                    inp = ag.dropout(inp, cfg.dropout, rng, training)
-                z = ag.add(
-                    ag.add(ag.matmul(inp, p[f"layer{i}.wx"]), ag.matmul(hidden[i], p[f"layer{i}.wh"])),
-                    p[f"layer{i}.bias"],
-                )
-                gate_i = ag.sigmoid(ag.narrow(z, 1, 0, h))
-                gate_f = ag.sigmoid(ag.narrow(z, 1, h, h))
-                gate_g = ag.tanh(ag.narrow(z, 1, 2 * h, h))
-                gate_o = ag.sigmoid(ag.narrow(z, 1, 3 * h, h))
-                cell[i] = ag.add(ag.mul(gate_f, cell[i]), ag.mul(gate_i, gate_g))
-                hidden[i] = ag.mul(gate_o, ag.tanh(cell[i]))
-                inp = hidden[i]
-            m = real[:, t : t + 1]
-            # hold the state observed at each student's last real position
-            last = ag.add(ag.mul(last, ag.tensor(1.0 - m)), ag.mul(hidden[-1], ag.tensor(m)))
+        x = emb
+        for i in range(cfg.n_layers):
+            if i > 0:
+                x = ag.dropout(x, cfg.dropout, rng, training)
+            x = ag.lstm_layer(x, p[f"layer{i}.wx"], p[f"layer{i}.wh"], p[f"layer{i}.bias"])
+        # the state at each student's last real position; a zero-length row keeps the zero state
+        last = ag.select_positions(x, np.maximum(lengths - 1, 0))
+        last = ag.mul(last, ag.tensor((lengths > 0)[:, None].astype(self.dtype)))
         logits = ag.add(ag.matmul(last, p["head.weight"]), p["head.bias"])
-        return ag.reshape(logits, (b,))
+        return ag.reshape(logits, (x.shape[0],))
 
 
 def _check_hash(model: _SequenceModel, batch: TokenSequenceBatch) -> None:
@@ -242,7 +224,7 @@ def predict_proba(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: 
     for start in range(0, len(batch), batch_size):
         sl = slice(start, start + batch_size)
         z = model.forward(batch.tokens[sl], batch.lengths[sl]).data.astype(np.float64)
-        out[sl] = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        out[sl] = ag.logistic(z)
     return out
 
 
@@ -365,10 +347,16 @@ def load_checkpoint(path) -> _SequenceModel:
         raise ValueError(f"unknown architecture {header['arch']!r}")
     cls, cfg_cls = _ARCHS[header["arch"]]
     model = cls(header["vocab_size"], cfg_cls(**header["config"]), seed=0, vocab_hash=header["vocab_hash"])
+    listed = [name for name, _ in header["tensors"]]
+    missing = sorted(set(model._params) - set(listed))
+    unexpected = sorted(set(listed) - set(model._params))
+    if missing or unexpected or len(listed) != len(model._params):
+        raise ValueError(f"checkpoint tensors do not match the model: missing {missing}, unexpected {unexpected}")
     wire = _wire_dtype(model.dtype)
     for name, shape in header["tensors"]:
-        if name not in model._params:
-            raise ValueError(f"checkpoint tensor {name!r} has no target parameter")
+        want = model._params[name].shape
+        if tuple(shape) != want:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {tuple(shape)}, the model expects {want}")
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * wire.itemsize
         arr = np.frombuffer(raw[at : at + nbytes], dtype=wire).reshape(shape)

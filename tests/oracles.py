@@ -1,8 +1,9 @@
 """Slow reference implementations used to cross-check the fast paths.
 
 Everything here is written for clarity over speed and stays independent of
-the production code: direct series summation, pairwise concordance counts,
-fine-grid quadrature, and brute-force scans.
+the fast paths it checks: direct series summation, pairwise concordance counts,
+fine-grid quadrature, brute-force scans, and an LSTM unrolled into one
+autograd node per elementary operation and time step.
 """
 
 from __future__ import annotations
@@ -108,3 +109,37 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-4) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def lstm_per_step(x, layers, lengths):
+    """Stacked LSTM built as one autograd node per elementary op and step.
+
+    ``x`` is a (B, L, D) tensor and ``layers`` a list of (wx, wh, bias)
+    tensors with gates laid out [input, forget, candidate, output].  Returns
+    the (B, H) top-layer state at each row's last real position, held
+    through the padded tail by masking; a zero-length row returns zeros.
+    """
+    import admitsim.autograd as ag
+
+    b, l, d = x.shape
+    lengths = np.asarray(lengths)
+    dtype = x.data.dtype
+    real = (np.arange(l)[None, :] < lengths[:, None]).astype(dtype)
+    hidden = [ag.tensor(np.zeros((b, wh.shape[0]), dtype=dtype)) for _, wh, _ in layers]
+    cell = [ag.tensor(np.zeros((b, wh.shape[0]), dtype=dtype)) for _, wh, _ in layers]
+    last = ag.tensor(np.zeros((b, layers[-1][1].shape[0]), dtype=dtype))
+    for t in range(l):
+        inp = ag.reshape(ag.narrow(x, 1, t, 1), (b, d))
+        for i, (wx, wh, bias) in enumerate(layers):
+            h = wh.shape[0]
+            z = ag.add(ag.add(ag.matmul(inp, wx), ag.matmul(hidden[i], wh)), bias)
+            gate_i = ag.sigmoid(ag.narrow(z, 1, 0, h))
+            gate_f = ag.sigmoid(ag.narrow(z, 1, h, h))
+            gate_g = ag.tanh(ag.narrow(z, 1, 2 * h, h))
+            gate_o = ag.sigmoid(ag.narrow(z, 1, 3 * h, h))
+            cell[i] = ag.add(ag.mul(gate_f, cell[i]), ag.mul(gate_i, gate_g))
+            hidden[i] = ag.mul(gate_o, ag.tanh(cell[i]))
+            inp = hidden[i]
+        m = real[:, t : t + 1]
+        last = ag.add(ag.mul(last, ag.tensor(1.0 - m)), ag.mul(hidden[-1], ag.tensor(m)))
+    return last

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import admitsim.autograd as ag
-from oracles import max_rel_err, numeric_gradient
+from oracles import lstm_per_step, max_rel_err, numeric_gradient
 
 
 def check_against_numeric(build_loss, params, tol=1e-4):
@@ -132,20 +132,22 @@ def test_layer_norm_grad_and_moments():
 
 def test_embedding_sum_matches_add_at():
     rng = np.random.default_rng(9)
-    vocab, h = 11, 5
-    table = ag.Parameter(rng.standard_normal((vocab, h)), "emb")
-    idx = rng.integers(0, vocab, size=(3, 4, 6))
+    h = 5
+    # with three tokens over four channels every position repeats a token
+    for vocab in (11, 3):
+        table = ag.Parameter(rng.standard_normal((vocab, h)), "emb")
+        idx = rng.integers(0, vocab, size=(3, 4, 6))
 
-    out = ag.embedding_sum(table, idx)
-    np.testing.assert_allclose(out.data, table.data[idx].sum(axis=1), atol=0)
+        out = ag.embedding_sum(table, idx)
+        np.testing.assert_allclose(out.data, table.data[idx].sum(axis=1), atol=0)
 
-    g = rng.standard_normal(out.data.shape)
-    loss = ag.tsum(ag.mul(out, ag.tensor(g)))
-    ag.backward(loss)
+        g = rng.standard_normal(out.data.shape)
+        loss = ag.tsum(ag.mul(out, ag.tensor(g)))
+        ag.backward(loss)
 
-    want = np.zeros_like(table.data)
-    np.add.at(want, idx.reshape(-1), np.broadcast_to(g[:, None, :, :], (3, 4, 6, h)).reshape(-1, h))
-    np.testing.assert_allclose(table.grad, want, atol=1e-12)
+        want = np.zeros_like(table.data)
+        np.add.at(want, idx.reshape(-1), np.broadcast_to(g[:, None, :, :], (3, 4, 6, h)).reshape(-1, h))
+        np.testing.assert_allclose(table.grad, want, atol=1e-12)
 
 
 def test_embedding_sum_numeric_grad():
@@ -158,6 +160,66 @@ def test_embedding_sum_numeric_grad():
         return ag.tsum(ag.mul(out, out))
 
     check_against_numeric(loss, [table])
+
+
+def _lstm_weights(rng, d, h, name):
+    return (
+        ag.Parameter(rng.standard_normal((d, 4 * h)) / np.sqrt(d), f"{name}.wx"),
+        ag.Parameter(rng.standard_normal((h, 4 * h)) / np.sqrt(h), f"{name}.wh"),
+        ag.Parameter(0.5 * rng.standard_normal(4 * h), f"{name}.bias"),
+    )
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_lstm_layer_matches_per_step_oracle(n_layers):
+    rng = np.random.default_rng(16)
+    b, l, d, h = 5, 7, 4, 3
+    x = ag.Parameter(rng.standard_normal((b, l, d)), "x")
+    layers = [_lstm_weights(rng, d if i == 0 else h, h, f"layer{i}") for i in range(n_layers)]
+    lengths = np.array([7, 3, 1, 0, 5])
+    v = rng.standard_normal((b, h))
+    params = [x] + [w for layer in layers for w in layer]
+
+    def fused():
+        out = x
+        for wx, wh, bias in layers:
+            out = ag.lstm_layer(out, wx, wh, bias)
+        last = ag.select_positions(out, np.maximum(lengths - 1, 0))
+        return ag.mul(last, ag.tensor((lengths > 0)[:, None].astype(float)))
+
+    results = []
+    for build in (fused, lambda: lstm_per_step(x, layers, lengths)):
+        for p in params:
+            p.zero_grad()
+        last = build()
+        ag.backward(ag.tsum(ag.mul(last, ag.tensor(v))))
+        results.append((last.data, [p.grad.copy() for p in params]))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got[3], 0.0)
+    for p, gg, wg in zip(params, got_grads, want_grads):
+        np.testing.assert_allclose(gg, wg, rtol=0, atol=1e-12, err_msg=p.name)
+
+
+def test_lstm_layer_gradcheck():
+    rng = np.random.default_rng(17)
+    x = ag.Parameter(rng.standard_normal((2, 4, 3)), "x")
+    wx, wh, bias = _lstm_weights(rng, 3, 2, "layer0")
+    v = rng.standard_normal((2, 4, 2))
+
+    def loss():
+        return ag.tsum(ag.mul(ag.lstm_layer(x, wx, wh, bias), ag.tensor(v)))
+
+    check_against_numeric(loss, [x, wx, wh, bias])
+
+
+def test_logistic_matches_exp_form_and_never_overflows():
+    z = np.linspace(-30.0, 30.0, 121)
+    np.testing.assert_allclose(ag.logistic(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-12, atol=1e-15)
+    with np.errstate(all="raise"):
+        extreme = ag.logistic(np.array([-1e4, 1e4], dtype=np.float32))
+    assert extreme.dtype == np.float32
+    np.testing.assert_array_equal(extreme, [0.0, 1.0])
 
 
 def test_bce_with_logits_value_and_grad():

@@ -4,9 +4,13 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from admitsim import cli
+from admitsim.cohort import Cohort, load_cohort
+from admitsim.models.features import featurize, fit_feature_schema
+from admitsim.models.logreg import train_logreg
 
 
 def write_config(path, **overrides):
@@ -314,25 +318,23 @@ def test_sequence_pipeline_smoke(tmp_path):
     assert (out / "saliency_channels.csv").exists()
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    def one_run(parent):
-        parent.mkdir()
-        cfg = write_config(
-            parent / "run.json",
-            variant="gpa_baseline",
-            float64=True,
-            cohort={"n_students": 220, "n_programs": 6, "start_year": 2007, "end_year": 2010},
-        )
-        out = parent / "run"
-        for command in ALL_COMMANDS:
-            assert run(command, "--config", cfg, "--out", out) == 0, command
-        return out
+def _tabular_run(parent, *flags):
+    parent.mkdir()
+    cfg = write_config(
+        parent / "run.json",
+        variant="gpa_baseline",
+        float64=True,
+        cohort={"n_students": 220, "n_programs": 6, "start_year": 2007, "end_year": 2010},
+    )
+    out = parent / "run"
+    for command in ALL_COMMANDS:
+        assert run(command, "--config", cfg, "--out", out, *flags) == 0, command
+    return out
 
-    first = one_run(tmp_path / "a")
-    second = one_run(tmp_path / "b")
+
+def assert_same_files(first, second):
     names = sorted(
-        os.path.relpath(os.path.join(base, f), start)
-        for start in [first]
+        os.path.relpath(os.path.join(base, f), first)
         for base, _, files in os.walk(first)
         for f in files
     )
@@ -341,3 +343,46 @@ def test_rerun_is_byte_identical(tmp_path):
         a = (first / name).read_bytes()
         b = (second / name).read_bytes()
         assert a == b, f"{name} differs between reruns"
+
+
+def test_rerun_is_byte_identical(tmp_path):
+    assert_same_files(_tabular_run(tmp_path / "a"), _tabular_run(tmp_path / "b"))
+
+
+def test_jobs_flag_leaves_run_directory_unchanged(tmp_path):
+    assert_same_files(_tabular_run(tmp_path / "a", "--jobs", 1), _tabular_run(tmp_path / "b", "--jobs", 2))
+
+
+def test_predict_matches_in_memory_tabular_model(tmp_path):
+    cfg = write_config(tmp_path / "run.json", variant="everything")
+    out = tmp_path / "run"
+    for command in ("generate", "encode", "train", "predict"):
+        assert run(command, "--config", cfg, "--out", out) == 0, command
+
+    cohort = load_cohort(str(out / "cohort.jsonl"))
+    splits = json.loads((out / "splits.json").read_text(encoding="utf-8"))
+    by_id = {s.id: s for s in cohort.students}
+    train = Cohort([by_id[i] for i in splits["train"]], cohort.programs, cohort.meta)
+    test = [by_id[i] for i in splits["test"]]
+    schema = fit_feature_schema(train, "everything")
+    # the guard only bites when the categorical blocks are not in sorted order
+    assert list(schema.ordinals) != sorted(schema.ordinals)
+    assert list(schema.nominals) != sorted(schema.nominals)
+    x, _, y = featurize(train, schema)
+    want = train_logreg(x, y, C=1.0).predict_proba(featurize(test, schema)[0])
+
+    rows = read_csv(out / "predictions_test.csv")
+    assert rows[0] == ["student_id", "p_hat"]
+    assert [r[0] for r in rows[1:]] == [str(s.id) for s in test]
+    np.testing.assert_array_equal(np.array([float(r[1]) for r in rows[1:]]), want)
+
+
+def test_schema_with_unordered_blocks_is_refused(tmp_path):
+    path = tmp_path / "feature_schema.json"
+    path.write_text(
+        json.dumps({"variant": "human", "expand_ordinals": True, "continuous": ["gpa"], "binary": [],
+                    "ordinals": {"human_decile": [1.0, 2.0]}, "nominals": {"program": ["P0"]}}),
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="unordered"):
+        cli._load_schema(str(path))

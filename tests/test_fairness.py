@@ -264,3 +264,15 @@ def test_audit_attribute_bundle():
     outcome = (rng.random(n) < p).astype(int)
     out = fairness.audit_attribute(_table(p, outcome, member), "g")
     assert set(out) == {"independence", "separation_tpr", "separation_fpr", "sufficiency"}
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2])
+def test_audit_sufficiency_uses_configured_alpha(alpha):
+    rng = np.random.default_rng(42)
+    n = 500
+    member = rng.random(n) < 0.5
+    p = rng.random(n)
+    outcome = (rng.random(n) < p).astype(int)
+    suff = fairness.audit_attribute(_table(p, outcome, member), "g", alpha=alpha)["sufficiency"]
+    assert suff.alpha_per_bin == pytest.approx(alpha / 5)
+    assert all(b.alpha == pytest.approx(alpha / 5) for b in suff.bins)

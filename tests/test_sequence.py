@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -293,3 +296,38 @@ def test_checkpoint_rejects_garbage(tmp_path):
     good.write_bytes(good.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(good)
+
+
+def _rewrite_checkpoint(path, edit):
+    """Re-pack a float64 checkpoint after ``edit`` changes its (name, array) list."""
+    raw = path.read_bytes()
+    magic = raw[:6]
+    (blob_len,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10 : 10 + blob_len].decode())
+    at = 10 + blob_len
+    tensors = []
+    for name, shape in header["tensors"]:
+        count = int(np.prod(shape))
+        tensors.append((name, np.frombuffer(raw[at : at + 8 * count], dtype="<f8").reshape(shape)))
+        at += 8 * count
+    tensors = edit(tensors)
+    header["tensors"] = [[name, list(arr.shape)] for name, arr in tensors]
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(magic + struct.pack("<I", len(blob)) + blob + b"".join(a.astype("<f8").tobytes() for _, a in tensors))
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(tiny_lstm(), path)
+    _rewrite_checkpoint(path, lambda ts: [(n, a) for n, a in ts if n != "head.bias"])
+    with pytest.raises(ValueError, match="missing .*head.bias"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("reshape", [lambda a: a.T, lambda a: a[:-1]], ids=["transposed", "truncated"])
+def test_checkpoint_rejects_wrong_shape(tmp_path, reshape):
+    path = tmp_path / "model.bin"
+    save_checkpoint(tiny_lstm(), path)
+    _rewrite_checkpoint(path, lambda ts: [(n, reshape(a) if n == "head.weight" else a) for n, a in ts])
+    with pytest.raises(ValueError, match="head.weight.*shape"):
+        load_checkpoint(path)
