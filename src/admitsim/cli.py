@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -44,22 +45,21 @@ from .econ import (
 from .explain import saliency_profile
 from .fairness import audit_attribute, weighted_abroca
 from .matching import Applicant, MatchInstance, ProgramSeats, check_stability, david_q_match
-from .models.adapters import build_risk_table
+from .models.adapters import ATTRIBUTES, build_risk_table
 from .models.features import FeatureSchema, featurize, fit_feature_schema
-from .models.gbt import GBTModel, _Tree, train_gbt
+from .models.gbt import GBTModel, train_gbt
 from .models.logreg import LogisticModel, train_logreg
 from .models.search import random_search_cv
-from .models.sequence import (
-    LSTMClassifier,
-    LSTMConfig,
-    TransformerClassifier,
-    TransformerConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train_sequence_model,
-)
+from .models.sequence import ARCHS, load_checkpoint, save_checkpoint, train_sequence_model
 from .models.sequence import predict_proba as sequence_predict_proba
-from .policy import auc_se, contraction_counterfactual, contraction_curve, score_outcome_correlations
+from .policy import (
+    BASELINES,
+    GROUPINGS,
+    auc_se,
+    contraction_counterfactual,
+    contraction_curve,
+    score_outcome_correlations,
+)
 from .risk import RiskTable
 from .seqenc import (
     VARIANTS,
@@ -88,11 +88,8 @@ class MissingArtifact(Exception):
 
 
 SPLITS = ("train", "val", "test")
-TABULAR = ("logreg", "gbt")
-SEQUENTIAL = ("transformer", "lstm")
-GROUPINGS = ("within_program", "per_field", "ungrouped")
-BASELINES = ("gpa", "human")
-ATTRIBUTES = ("female", "danish_origin", "ses_high")
+# family -> (trainer, model class) of the tabular families; ARCHS holds the sequence ones
+TABULAR = {"logreg": (train_logreg, LogisticModel), "gbt": (train_gbt, GBTModel)}
 
 COHORT_FILE = "cohort.jsonl"
 SPLITS_FILE = "splits.json"
@@ -134,20 +131,20 @@ def _risk_file(split: str) -> str:
 # run configuration
 
 
+def _fields(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+# model.params keys: a tabular trainer's keywords after (x, y), or a sequence
+# config's fields; the seed and dtype come from the top-level config
 _MODEL_PARAM_KEYS = {
-    "logreg": {"C", "penalty", "l1_ratio", "tol", "max_iter"},
-    "gbt": {
-        "n_estimators",
-        "learning_rate",
-        "max_depth",
-        "subsample",
-        "colsample_bytree",
-        "reg_lambda",
-        "reg_alpha",
+    **{
+        family: set(list(inspect.signature(fn).parameters)[2:]) - {"seed"}
+        for family, (fn, _) in TABULAR.items()
     },
-    "transformer": {"n_layers", "hidden", "n_heads", "ff_hidden", "dropout"},
-    "lstm": {"n_layers", "hidden", "dropout"},
+    **{arch: _fields(cfg_cls) - {"dtype"} for arch, (_, cfg_cls) in ARCHS.items()},
 }
+_COHORT_KEYS = _fields(GeneratorConfig)
 
 _DEFAULTS: dict = {
     "version": 1,
@@ -325,9 +322,6 @@ def _validate(raw: dict) -> dict:
     return cfg
 
 
-_COHORT_KEYS = {f.name for f in dataclasses.fields(GeneratorConfig)}
-
-
 def load_config(path: str, seed: int | None = None, out_dir: str | None = None) -> dict:
     """Load, validate, and resolve a run configuration file.
 
@@ -393,9 +387,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _open_csv(path: str):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_manifest(out: str, command: str, cfg: dict, inputs, outputs, notes=None) -> str:
@@ -442,117 +438,12 @@ def _check_finite(arr, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model persistence for the tabular families
-
-
-def _save_tabular(path: str, family: str, model) -> None:
-    if family == "logreg":
-        payload = {
-            "family": "logreg",
-            "weights": model.weights.tolist(),
-            "intercept": float(model.intercept),
-            "medians": model.medians.tolist(),
-            "mu": model.mu.tolist(),
-            "sd": model.sd.tolist(),
-            "converged": bool(model.converged),
-            "n_iter": int(model.n_iter),
-        }
-    else:
-        payload = {
-            "family": "gbt",
-            "base_margin": float(model.base_margin),
-            "n_features": int(model.n_features),
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "nan_left": t.nan_left.astype(int).tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                    "depth": int(t.depth),
-                }
-                for t in model.trees
-            ],
-        }
-    _dump_json(path, payload)
-
-
-def _load_tabular(path: str):
-    payload = _load_json(path)
-    family = payload.get("family")
-    if family == "logreg":
-        return family, LogisticModel(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            intercept=float(payload["intercept"]),
-            medians=np.asarray(payload["medians"], dtype=np.float64),
-            mu=np.asarray(payload["mu"], dtype=np.float64),
-            sd=np.asarray(payload["sd"], dtype=np.float64),
-            converged=bool(payload["converged"]),
-            n_iter=int(payload["n_iter"]),
-        )
-    if family == "gbt":
-        trees = [
-            _Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                nan_left=np.asarray(t["nan_left"], dtype=bool),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-                depth=int(t["depth"]),
-            )
-            for t in payload["trees"]
-        ]
-        return family, GBTModel(
-            trees=trees,
-            base_margin=float(payload["base_margin"]),
-            n_features=int(payload["n_features"]),
-        )
-    raise ValueError(f"unsupported model file family: {family!r}")
-
-
-def _save_schema(path: str, schema: FeatureSchema) -> None:
-    _dump_json(
-        path,
-        {
-            "variant": schema.variant,
-            "expand_ordinals": schema.expand_ordinals,
-            "continuous": list(schema.continuous),
-            "binary": list(schema.binary),
-            # [name, values] pairs: _dump_json sorts map keys, and the order
-            # of these maps is the order of the feature columns
-            "ordinals": [[k, list(v)] for k, v in schema.ordinals.items()],
-            "nominals": [[k, list(v)] for k, v in schema.nominals.items()],
-        },
-    )
-
-
-def _load_schema(path: str) -> FeatureSchema:
-    payload = _load_json(path)
-    if isinstance(payload["ordinals"], dict) or isinstance(payload["nominals"], dict):
-        raise ValueError(f"{path} stores its categorical blocks unordered; re-run `admitsim train`")
-    return FeatureSchema(
-        variant=payload["variant"],
-        expand_ordinals=bool(payload["expand_ordinals"]),
-        continuous=tuple(payload["continuous"]),
-        binary=tuple(payload["binary"]),
-        ordinals={k: tuple(v) for k, v in payload["ordinals"]},
-        nominals={k: tuple(v) for k, v in payload["nominals"]},
-    )
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_generate(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
-    try:
-        gen_cfg = GeneratorConfig(**cfg["cohort"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.cohort is invalid: {exc}") from exc
-    cohort = generate_cohort(gen_cfg, cfg["seed"])
+    cohort = generate_cohort(GeneratorConfig(**cfg["cohort"]), cfg["seed"])
     save_cohort(cohort, os.path.join(out, COHORT_FILE))
     _write_manifest(out, "generate", cfg, inputs=[], outputs=[COHORT_FILE])
     print(f"generated {len(cohort)} students across {len(cohort.programs)} programs")
@@ -564,11 +455,8 @@ def cmd_encode(cfg: dict, args) -> int:
     cohort = load_cohort(_require(out, COHORT_FILE, "generate"))
     train_all, test = temporal_split(cohort, cfg["holdout_year"])
     train, val = validation_split(train_all, cfg["val_fraction"], cfg["seed"])
-
-    _dump_json(
-        os.path.join(out, SPLITS_FILE),
-        {name: [s.id for s in part.students] for name, part in (("train", train), ("val", val), ("test", test))},
-    )
+    parts = dict(zip(SPLITS, (train, val, test)))
+    _dump_json(os.path.join(out, SPLITS_FILE), {name: [s.id for s in part.students] for name, part in parts.items()})
 
     rules = fit_binning_rules(train)
     _dump_json(
@@ -582,7 +470,7 @@ def cmd_encode(cfg: dict, args) -> int:
 
     outputs = [SPLITS_FILE, BINNING_FILE, VOCAB_FILE, ENCODE_META_FILE]
     counts = {}
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in parts.items():
         batch = encode_cohort(part, vocab, rules, length)
         batch.save(os.path.join(out, _batch_file(name)))
         outputs.append(_batch_file(name))
@@ -611,7 +499,7 @@ def _train_tabular(cfg: dict, args, out: str) -> tuple[list[str], list[str], lis
     train = Cohort(_split_students(cohort, splits["train"]), cohort.programs, cohort.meta)
 
     schema = fit_feature_schema(train, cfg["variant"])
-    _save_schema(os.path.join(out, SCHEMA_FILE), schema)
+    _dump_json(os.path.join(out, SCHEMA_FILE), schema.to_dict())
     x, _, y = featurize(train, schema)
 
     params = dict(cfg["model"]["params"])
@@ -620,13 +508,7 @@ def _train_tabular(cfg: dict, args, out: str) -> tuple[list[str], list[str], lis
     search = cfg["model"]["search"]
     if search is not None:
         params, best_auc, _ = random_search_cv(
-            family,
-            x,
-            y,
-            n_candidates=search["n_candidates"],
-            k_folds=search["k_folds"],
-            seed=cfg["seed"],
-            log_path=os.path.join(out, SEARCH_LOG_FILE),
+            family, x, y, **search, seed=cfg["seed"], log_path=os.path.join(out, SEARCH_LOG_FILE)
         )
         outputs.append(SEARCH_LOG_FILE)
         notes.append(f"search selected {family} params with mean fold auc {best_auc:.6f}")
@@ -637,20 +519,8 @@ def _train_tabular(cfg: dict, args, out: str) -> tuple[list[str], list[str], lis
     else:
         model = train_gbt(x, y, seed=cfg["seed"], **params)
         _check_finite([model.base_margin], "fitted margins")
-    _save_tabular(os.path.join(out, MODEL_JSON_FILE), family, model)
+    _dump_json(os.path.join(out, MODEL_JSON_FILE), {"family": family, **model.to_dict()})
     return [COHORT_FILE, SPLITS_FILE], outputs, notes
-
-
-def _sequence_config(cfg: dict):
-    family = cfg["model"]["family"]
-    dtype = "float64" if cfg["float64"] else "float32"
-    params = dict(cfg["model"]["params"])
-    try:
-        if family == "transformer":
-            return TransformerClassifier, TransformerConfig(dtype=dtype, **params)
-        return LSTMClassifier, LSTMConfig(dtype=dtype, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.params is invalid: {exc}") from exc
 
 
 def _train_sequence(cfg: dict, out: str) -> tuple[list[str], list[str], list[str]]:
@@ -658,21 +528,11 @@ def _train_sequence(cfg: dict, out: str) -> tuple[list[str], list[str], list[str
     val_batch = TokenSequenceBatch.load(_require(out, _batch_file("val"), "encode"))
     meta = _load_json(_require(out, ENCODE_META_FILE, "encode"))
 
-    cls, model_cfg = _sequence_config(cfg)
+    cls, cfg_cls = ARCHS[cfg["model"]["family"]]
+    model_cfg = cfg_cls(dtype="float64" if cfg["float64"] else "float32", **cfg["model"]["params"])
     model = cls(meta["vocab_size"], model_cfg, seed=cfg["seed"], vocab_hash=meta["vocab_hash"])
-    tr = cfg["training"]
-    history = train_sequence_model(
-        model,
-        train_batch,
-        val_batch,
-        seed=cfg["seed"],
-        epochs=tr["epochs"],
-        patience=tr["patience"],
-        batch_size=tr["batch_size"],
-        peak_lr=tr["peak_lr"],
-        weight_decay=tr["weight_decay"],
-        warmup=tr["warmup"],
-    )
+    # the training section's keys are train_sequence_model's keywords
+    history = train_sequence_model(model, train_batch, val_batch, seed=cfg["seed"], **cfg["training"])
     _check_finite(history["train_loss"], "training losses")
     _check_finite(history["val_loss"], "validation losses")
     save_checkpoint(model, os.path.join(out, MODEL_BIN_FILE))
@@ -706,28 +566,28 @@ def cmd_predict(cfg: dict, args) -> int:
     inputs = [COHORT_FILE, SPLITS_FILE]
 
     if family in TABULAR:
-        schema = _load_schema(_require(out, SCHEMA_FILE, "train"))
-        saved_family, model = _load_tabular(_require(out, MODEL_JSON_FILE, "train"))
-        if saved_family != family:
-            raise ConfigError(f"model file holds a {saved_family} model but config asks for {family}")
+        schema = FeatureSchema.from_dict(_load_json(_require(out, SCHEMA_FILE, "train")))
+        payload = _load_json(_require(out, MODEL_JSON_FILE, "train"))
+        if payload.get("family") != family:
+            raise ConfigError(f"model file holds a {payload.get('family')} model but config asks for {family}")
+        _, model_cls = TABULAR[family]
         x, _, _ = featurize(students, schema)
-        probs = model.predict_proba(x)
+        probs = model_cls.from_dict(payload).predict_proba(x)
         inputs += [SCHEMA_FILE, MODEL_JSON_FILE]
     else:
         model = load_checkpoint(_require(out, MODEL_BIN_FILE, "train"))
         batch = TokenSequenceBatch.load(_require(out, _batch_file(split), "encode"))
-        if len(batch) != len(students):
-            raise ValueError(f"{_batch_file(split)} holds {len(batch)} rows but the split has {len(students)}")
+        if not np.array_equal(batch.student_ids, [s.id for s in students]):
+            raise ValueError(f"{_batch_file(split)} does not hold the {split} split's students in split order")
         probs = sequence_predict_proba(model, batch)
         inputs += [MODEL_BIN_FILE, _batch_file(split)]
     _check_finite(probs, "predictions")
 
-    pred_path = os.path.join(out, _predictions_file(split))
-    fh, writer = _open_csv(pred_path)
-    with fh:
-        writer.writerow(["student_id", "p_hat"])
-        for student, p in zip(students, probs):
-            writer.writerow([student.id, _g(p)])
+    _write_csv(
+        os.path.join(out, _predictions_file(split)),
+        ["student_id", "p_hat"],
+        ([student.id, _g(p)] for student, p in zip(students, probs)),
+    )
 
     table = build_risk_table(students, probs)
     table.to_csv(os.path.join(out, _risk_file(split)))
@@ -743,17 +603,13 @@ def cmd_evaluate(cfg: dict, args) -> int:
     table = RiskTable.from_csv(_require(out, _risk_file(split), "predict"))
     value, se = auc_se(table.p_hat, table.outcome)
 
-    fh, writer = _open_csv(os.path.join(out, AUC_FILE))
-    with fh:
-        writer.writerow(["model", "variant", "split", "n", "auc", "se"])
-        writer.writerow([cfg["model"]["family"], cfg["variant"], split, len(table.p_hat), _g(value), _g(se)])
-
+    _write_csv(
+        os.path.join(out, AUC_FILE),
+        ["model", "variant", "split", "n", "auc", "se"],
+        [[cfg["model"]["family"], cfg["variant"], split, len(table.p_hat), _g(value), _g(se)]],
+    )
     corr = score_outcome_correlations(table)
-    fh, writer = _open_csv(os.path.join(out, CORRELATIONS_FILE))
-    with fh:
-        writer.writerow(["metric", "value"])
-        for name in sorted(corr):
-            writer.writerow([name, _g(corr[name])])
+    _write_csv(os.path.join(out, CORRELATIONS_FILE), ["metric", "value"], ([k, _g(corr[k])] for k in sorted(corr)))
 
     _write_manifest(
         out, "evaluate", cfg, inputs=[_risk_file(split)], outputs=[AUC_FILE, CORRELATIONS_FILE]
@@ -772,52 +628,50 @@ def cmd_contract(cfg: dict, args) -> int:
     if any(not 0.0 < f < 1.0 for f in fractions):
         raise ConfigError("contraction fractions must lie in (0, 1)")
 
-    fh, writer = _open_csv(os.path.join(out, CURVE_FILE))
-    with fh:
-        writer.writerow(["grouping", "bin", "count", "graduates", "rate"])
-        for grouping in groupings:
-            curve = contraction_curve(table, grouping=grouping, n_bins=ev["n_bins"])
-            for i in range(curve.n_bins):
-                writer.writerow(
-                    [grouping, i + 1, int(curve.counts[i]), int(curve.graduates[i]), _g(curve.rates[i])]
-                )
+    curve_rows = []
+    for grouping in groupings:
+        curve = contraction_curve(table, grouping=grouping, n_bins=ev["n_bins"])
+        for i in range(curve.n_bins):
+            curve_rows.append([grouping, i + 1, int(curve.counts[i]), int(curve.graduates[i]), _g(curve.rates[i])])
+    _write_csv(os.path.join(out, CURVE_FILE), ["grouping", "bin", "count", "graduates", "rate"], curve_rows)
 
     notes = []
-    fh, writer = _open_csv(os.path.join(out, COUNTERFACTUAL_FILE))
-    with fh:
-        writer.writerow(
-            [
-                "baseline",
-                "fraction",
-                "n_rejected",
-                "model_graduates_rejected",
-                "baseline_graduates_rejected",
-                "model_rejected_rate",
-                "baseline_rejected_rate",
-                "dropout_reduction",
-                "pp_difference",
-            ]
-        )
-        for baseline in ev["baselines"]:
-            for fraction in fractions:
-                try:
-                    rep = contraction_counterfactual(table, baseline=baseline, fraction=fraction)
-                except ValueError as exc:
-                    notes.append(f"baseline {baseline} at fraction {fraction:g} skipped: {exc}")
-                    continue
-                writer.writerow(
-                    [
-                        rep.baseline,
-                        _g(rep.fraction),
-                        rep.n_rejected,
-                        rep.model_graduates_rejected,
-                        rep.baseline_graduates_rejected,
-                        _g(rep.model_rejected_rate),
-                        _g(rep.baseline_rejected_rate),
-                        _g(rep.dropout_reduction),
-                        _g(rep.pp_difference),
-                    ]
-                )
+    counter_rows = []
+    for baseline in ev["baselines"]:
+        for fraction in fractions:
+            try:
+                rep = contraction_counterfactual(table, baseline=baseline, fraction=fraction)
+            except ValueError as exc:
+                notes.append(f"baseline {baseline} at fraction {fraction:g} skipped: {exc}")
+                continue
+            counter_rows.append(
+                [
+                    rep.baseline,
+                    _g(rep.fraction),
+                    rep.n_rejected,
+                    rep.model_graduates_rejected,
+                    rep.baseline_graduates_rejected,
+                    _g(rep.model_rejected_rate),
+                    _g(rep.baseline_rejected_rate),
+                    _g(rep.dropout_reduction),
+                    _g(rep.pp_difference),
+                ]
+            )
+    _write_csv(
+        os.path.join(out, COUNTERFACTUAL_FILE),
+        [
+            "baseline",
+            "fraction",
+            "n_rejected",
+            "model_graduates_rejected",
+            "baseline_graduates_rejected",
+            "model_rejected_rate",
+            "baseline_rejected_rate",
+            "dropout_reduction",
+            "pp_difference",
+        ],
+        counter_rows,
+    )
 
     _write_manifest(
         out,
@@ -855,36 +709,38 @@ def cmd_audit_fairness(cfg: dict, args) -> int:
     attributes = [args.attribute] if args.attribute else cfg["fairness"]["attributes"]
     alpha = cfg["fairness"]["alpha"]
 
-    fh, writer = _open_csv(os.path.join(out, FAIRNESS_FILE))
-    with fh:
-        writer.writerow(
-            ["attribute", "criterion", "z", "p_value", "alpha", "reject",
-             "rate_a", "rate_b", "n_a", "n_b", "computable", "note"]
+    test_rows = []
+    for attribute in attributes:
+        audit = audit_attribute(table, attribute, alpha=alpha)
+        for key in ("independence", "separation_tpr", "separation_fpr"):
+            test_rows.append(_verdict_row(attribute, key, audit[key]))
+        suff = audit["sufficiency"]
+        for i, v in enumerate(suff.bins):
+            test_rows.append(_verdict_row(attribute, f"sufficiency_bin_{i}", v))
+        test_rows.append(
+            [attribute, "sufficiency", "", "", _g(suff.alpha_per_bin), int(suff.reject),
+             "", "", "", "", 1, f"{len(suff.bins)} bins"]
         )
-        for attribute in attributes:
-            audit = audit_attribute(table, attribute, alpha=alpha)
-            for key in ("independence", "separation_tpr", "separation_fpr"):
-                writer.writerow(_verdict_row(attribute, key, audit[key]))
-            suff = audit["sufficiency"]
-            for i, v in enumerate(suff.bins):
-                writer.writerow(_verdict_row(attribute, f"sufficiency_bin_{i}", v))
-            writer.writerow(
-                [attribute, "sufficiency", "", "", _g(suff.alpha_per_bin), int(suff.reject),
-                 "", "", "", "", 1, f"{len(suff.bins)} bins"]
-            )
+    _write_csv(
+        os.path.join(out, FAIRNESS_FILE),
+        ["attribute", "criterion", "z", "p_value", "alpha", "reject",
+         "rate_a", "rate_b", "n_a", "n_b", "computable", "note"],
+        test_rows,
+    )
 
-    fh, writer = _open_csv(os.path.join(out, ABROCA_FILE))
-    with fh:
-        writer.writerow(["attribute", "value", "se", "n_programs", "n_skipped", "computable", "note"])
-        for attribute in attributes:
-            try:
-                wa = weighted_abroca(table, attribute)
-            except ValueError as exc:
-                writer.writerow([attribute, "", "", 0, 0, 0, str(exc)])
-                continue
-            writer.writerow(
-                [attribute, _g(wa.value), _g(wa.se), len(wa.per_program), len(wa.skipped), 1, ""]
-            )
+    abroca_rows = []
+    for attribute in attributes:
+        try:
+            wa = weighted_abroca(table, attribute)
+        except ValueError as exc:
+            abroca_rows.append([attribute, "", "", 0, 0, 0, str(exc)])
+            continue
+        abroca_rows.append([attribute, _g(wa.value), _g(wa.se), len(wa.per_program), len(wa.skipped), 1, ""])
+    _write_csv(
+        os.path.join(out, ABROCA_FILE),
+        ["attribute", "value", "se", "n_programs", "n_skipped", "computable", "note"],
+        abroca_rows,
+    )
 
     _write_manifest(
         out,
@@ -899,7 +755,7 @@ def cmd_audit_fairness(cfg: dict, args) -> int:
 
 def cmd_explain(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
-    if cfg["model"]["family"] not in SEQUENTIAL:
+    if cfg["model"]["family"] not in ARCHS:
         raise ConfigError("explain needs a sequence model (transformer or lstm)")
     split = args.split
     model = load_checkpoint(_require(out, MODEL_BIN_FILE, "train"))
@@ -959,15 +815,14 @@ def cmd_match(cfg: dict, args) -> int:
     outcome = david_q_match(instance)
     blocking = check_stability(instance, outcome)
 
-    fh, writer = _open_csv(os.path.join(out, MATCHES_FILE))
-    with fh:
-        writer.writerow(["student_id", "program_id", "quota"])
-        for applicant in applicants:
-            assignment = outcome.assigned.get(applicant.id)
-            if assignment is None:
-                writer.writerow([applicant.id, "", ""])
-            else:
-                writer.writerow([applicant.id, assignment.program_id, assignment.quota])
+    match_rows = []
+    for applicant in applicants:
+        assignment = outcome.assigned.get(applicant.id)
+        if assignment is None:
+            match_rows.append([applicant.id, "", ""])
+        else:
+            match_rows.append([applicant.id, assignment.program_id, assignment.quota])
+    _write_csv(os.path.join(out, MATCHES_FILE), ["student_id", "program_id", "quota"], match_rows)
 
     notes = [
         f"year {year}: {len(applicants)} applicants, {len(outcome.unassigned)} unassigned, "
@@ -989,24 +844,21 @@ def cmd_econ(cfg: dict, args) -> int:
     )
     write_scenario_csv(os.path.join(out, ECON_SCENARIOS_FILE), results)
 
-    fh, writer = _open_csv(os.path.join(out, ECON_HEADLINE_FILE))
-    with fh:
-        writer.writerow(["label", "value"])
-        for g in ec["extra_graduates"]:
-            writer.writerow([f"graduate_revenue[{g:g}]", _g(graduate_revenue(g))])
-        total = 0.0
-        for n in ec["n_overridden"]:
-            cost = override_cost(n, rate=ec["override_rate"])
-            total += cost
-            writer.writerow([f"override_cost[{n:g}]", _g(cost)])
-        writer.writerow(["override_cost_total", _g(total)])
-        for entry in ec["taximeter"]:
-            dkk, usd = taximeter_value(entry["yearly_rate_dkk"], entry["completion_bonus_dkk"], entry["years"])
-            writer.writerow([f"taximeter[{entry['yearly_rate_dkk']:g}+{entry['completion_bonus_dkk']:g}]_dkk", _g(dkk)])
-            writer.writerow([f"taximeter[{entry['yearly_rate_dkk']:g}+{entry['completion_bonus_dkk']:g}]_usd", _g(usd)])
-        if ec["mvpf"] is not None:
-            ratio = mvpf(ec["mvpf"]["delta_welfare"], ec["mvpf"]["net_govt_cost"])
-            writer.writerow(["mvpf", "" if ratio is None else _g(ratio)])
+    rows = [[f"graduate_revenue[{g:g}]", _g(graduate_revenue(g))] for g in ec["extra_graduates"]]
+    total = 0.0
+    for n in ec["n_overridden"]:
+        cost = override_cost(n, rate=ec["override_rate"])
+        total += cost
+        rows.append([f"override_cost[{n:g}]", _g(cost)])
+    rows.append(["override_cost_total", _g(total)])
+    for entry in ec["taximeter"]:
+        dkk, usd = taximeter_value(entry["yearly_rate_dkk"], entry["completion_bonus_dkk"], entry["years"])
+        rows.append([f"taximeter[{entry['yearly_rate_dkk']:g}+{entry['completion_bonus_dkk']:g}]_dkk", _g(dkk)])
+        rows.append([f"taximeter[{entry['yearly_rate_dkk']:g}+{entry['completion_bonus_dkk']:g}]_usd", _g(usd)])
+    if ec["mvpf"] is not None:
+        ratio = mvpf(ec["mvpf"]["delta_welfare"], ec["mvpf"]["net_govt_cost"])
+        rows.append(["mvpf", "" if ratio is None else _g(ratio)])
+    _write_csv(os.path.join(out, ECON_HEADLINE_FILE), ["label", "value"], rows)
 
     _write_manifest(
         out, "econ", cfg, inputs=[], outputs=[ECON_SCENARIOS_FILE, ECON_HEADLINE_FILE]
@@ -1030,25 +882,25 @@ _REPORT_SOURCES = [
 def cmd_report(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     runs = args.runs or [out]
+    # rows are labelled by run directory basename, so two runs may not share one
+    labels = [os.path.basename(os.path.normpath(run)) for run in runs]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"report --runs gives more than one run directory named {label!r}")
     report_dir = os.path.join(out, REPORT_DIR)
     os.makedirs(report_dir, exist_ok=True)
 
     for source, target, producer in _REPORT_SOURCES:
-        fh, writer = _open_csv(os.path.join(report_dir, target))
-        with fh:
-            header_written = False
-            for run in runs:
-                path = os.path.join(run, source)
-                if not os.path.exists(path):
-                    raise MissingArtifact(os.path.join(run, source), producer)
-                label = os.path.basename(os.path.normpath(run))
-                with open(path, encoding="utf-8", newline="") as src:
-                    rows = list(csv.reader(src))
-                if not header_written:
-                    writer.writerow(["run"] + rows[0])
-                    header_written = True
-                for row in rows[1:]:
-                    writer.writerow([label] + row)
+        header, rows = None, []
+        for run, label in zip(runs, labels):
+            path = os.path.join(run, source)
+            if not os.path.exists(path):
+                raise MissingArtifact(path, producer)
+            with open(path, encoding="utf-8", newline="") as src:
+                table = list(csv.reader(src))
+            header = header or ["run"] + table[0]
+            rows.extend([label] + row for row in table[1:])
+        _write_csv(os.path.join(report_dir, target), header, rows)
 
     outputs = [os.path.join(REPORT_DIR, target) for _, target, _ in _REPORT_SOURCES]
     inputs = [src for src, _, _ in _REPORT_SOURCES] if runs == [out] else []

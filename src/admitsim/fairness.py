@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .risk import RiskTable
+from .risk import RiskTable, group_rows
 
 __all__ = [
     "roc_steps",
@@ -109,10 +109,9 @@ def weighted_abroca(
     per_program: dict[str, float] = {}
     weights: dict[str, float] = {}
     skipped: list[str] = []
-    for pid in np.unique(table.program_id):
-        mask = table.program_id == pid
-        g = member[mask]
-        y = table.outcome[mask]
+    for pid, rows in group_rows(table.program_id):
+        g = member[rows]
+        y = table.outcome[rows]
         n_in, n_out = int(g.sum()), int((~g).sum())
         if n_in < min_group or n_out < min_group:
             skipped.append(str(pid))
@@ -120,8 +119,8 @@ def weighted_abroca(
         if len(np.unique(y[g])) < 2 or len(np.unique(y[~g])) < 2:
             skipped.append(str(pid))
             continue
-        per_program[str(pid)] = abroca(table.p_hat[mask], y, g)
-        weights[str(pid)] = float(mask.sum())
+        per_program[str(pid)] = abroca(table.p_hat[rows], y, g)
+        weights[str(pid)] = float(len(rows))
     if not per_program:
         raise ValueError("no program is computable under the privacy floor")
     total = sum(weights.values())

@@ -14,13 +14,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..cohort import ApplicationEvent, EnrollmentEvent, Student
+from ..cohort import ApplicationEvent, Cohort, EnrollmentEvent, Student
 from ..risk import RiskTable
-from ..seqenc import PAD, BinningRule, TokenSequenceBatch, Vocabulary, encode_student
+from ..seqenc import BinningRule, TokenSequenceBatch, Vocabulary, encode_cohort
 from . import sequence as seq
 from .features import FeatureSchema, featurize
 
-__all__ = ["TabularPredictor", "SequencePredictor", "build_risk_table"]
+__all__ = ["ATTRIBUTES", "TabularPredictor", "SequencePredictor", "build_risk_table"]
+
+# binary group indicators of the risk table, read from each student's sociodemo record
+ATTRIBUTES = ("female", "danish_origin", "ses_high")
 
 
 @dataclass
@@ -42,18 +45,7 @@ class SequencePredictor:
     batch_size: int = 512
 
     def encode(self, students: Sequence[Student]) -> TokenSequenceBatch:
-        students = list(students)
-        grids = np.stack([encode_student(s, self.vocab, self.rules, self.length) for s in students])
-        pad_mask = grids[:, 0, :] == PAD
-        lengths = np.where(pad_mask.any(axis=1), pad_mask.argmax(axis=1), self.length).astype(np.int32)
-        return TokenSequenceBatch(
-            tokens=grids.astype(np.int32),
-            lengths=lengths,
-            student_ids=np.array([s.id for s in students], dtype=np.int64),
-            labels=np.array([int(s.completed) for s in students], dtype=np.int8),
-            variant=self.vocab.variant,
-            vocab_hash=self.vocab.vocab_hash(),
-        )
+        return encode_cohort(Cohort(list(students), {}), self.vocab, self.rules, self.length)
 
     def predict_students(self, students: Sequence[Student]) -> np.ndarray:
         return seq.predict_proba(self.model, self.encode(students), self.batch_size)
@@ -82,9 +74,7 @@ def build_risk_table(students: Sequence[Student], probs: np.ndarray) -> RiskTabl
         p_hat=probs,
         outcome=np.array([int(s.completed) for s in students], dtype=np.int64),
         attributes={
-            "female": np.array([int(s.sociodemo.female) for s in students], dtype=np.int64),
-            "danish_origin": np.array([int(s.sociodemo.danish_origin) for s in students], dtype=np.int64),
-            "ses_high": np.array([int(s.sociodemo.ses_high) for s in students], dtype=np.int64),
+            a: np.array([int(getattr(s.sociodemo, a)) for s in students], dtype=np.int64) for a in ATTRIBUTES
         },
         gpa=np.array([s.gpa for s in students], dtype=np.float64),
         human_decile=np.array([_enrolled_decile(s) for s in students], dtype=np.float64),

@@ -144,6 +144,35 @@ class FeatureSchema:
     def n_columns(self) -> int:
         return len(self.column_names)
 
+    def to_dict(self) -> dict:
+        """JSON-ready fields.
+
+        The categorical blocks are ``[name, values]`` pairs, not maps: their
+        order is the order of the feature columns, and JSON writers may sort
+        map keys.
+        """
+        return {
+            "variant": self.variant,
+            "expand_ordinals": self.expand_ordinals,
+            "continuous": list(self.continuous),
+            "binary": list(self.binary),
+            "ordinals": [[k, list(v)] for k, v in self.ordinals.items()],
+            "nominals": [[k, list(v)] for k, v in self.nominals.items()],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FeatureSchema":
+        if isinstance(payload["ordinals"], dict) or isinstance(payload["nominals"], dict):
+            raise ValueError("feature schema stores its categorical blocks unordered; fit it again")
+        return cls(
+            variant=payload["variant"],
+            expand_ordinals=bool(payload["expand_ordinals"]),
+            continuous=tuple(payload["continuous"]),
+            binary=tuple(payload["binary"]),
+            ordinals={k: tuple(v) for k, v in payload["ordinals"]},
+            nominals={k: tuple(v) for k, v in payload["nominals"]},
+        )
+
 
 def fit_feature_schema(train: Cohort, variant: str, expand_ordinals: bool = True) -> FeatureSchema:
     if variant not in VARIANTS:

@@ -48,6 +48,29 @@ class _Tree:
             idx[live] = np.where(go_left, self.left[at], self.right[at])
         return self.value[idx]
 
+    def to_dict(self) -> dict:
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "nan_left": self.nan_left.astype(int).tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
+            "depth": int(self.depth),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "_Tree":
+        return cls(
+            feature=np.asarray(payload["feature"], dtype=np.int64),
+            threshold=np.asarray(payload["threshold"], dtype=np.float64),
+            nan_left=np.asarray(payload["nan_left"], dtype=bool),
+            left=np.asarray(payload["left"], dtype=np.int64),
+            right=np.asarray(payload["right"], dtype=np.int64),
+            value=np.asarray(payload["value"], dtype=np.float64),
+            depth=int(payload["depth"]),
+        )
+
 
 def _t(g: np.ndarray | float, alpha: float):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
@@ -71,6 +94,22 @@ class GBTModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         z = self.predict_margin(x)
         return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields (``nan_left`` as 0/1); ``from_dict`` restores the model exactly."""
+        return {
+            "base_margin": float(self.base_margin),
+            "n_features": int(self.n_features),
+            "trees": [t.to_dict() for t in self.trees],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "GBTModel":
+        return cls(
+            trees=[_Tree.from_dict(t) for t in payload["trees"]],
+            base_margin=float(payload["base_margin"]),
+            n_features=int(payload["n_features"]),
+        )
 
 
 def _build_tree(

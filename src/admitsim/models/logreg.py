@@ -44,6 +44,30 @@ class LogisticModel:
         z = self.decision_function(x)
         return np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
 
+    def to_dict(self) -> dict:
+        """JSON-ready fields; ``from_dict`` restores the model exactly."""
+        return {
+            "weights": self.weights.tolist(),
+            "intercept": float(self.intercept),
+            "medians": self.medians.tolist(),
+            "mu": self.mu.tolist(),
+            "sd": self.sd.tolist(),
+            "converged": bool(self.converged),
+            "n_iter": int(self.n_iter),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "LogisticModel":
+        return cls(
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            intercept=float(payload["intercept"]),
+            medians=np.asarray(payload["medians"], dtype=np.float64),
+            mu=np.asarray(payload["mu"], dtype=np.float64),
+            sd=np.asarray(payload["sd"], dtype=np.float64),
+            converged=bool(payload["converged"]),
+            n_iter=int(payload["n_iter"]),
+        )
+
 
 def _log_loss(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))

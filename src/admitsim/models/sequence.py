@@ -33,6 +33,7 @@ __all__ = [
     "LSTMConfig",
     "TransformerClassifier",
     "LSTMClassifier",
+    "ARCHS",
     "train_sequence_model",
     "predict_proba",
     "evaluate_loss",
@@ -218,24 +219,29 @@ def _check_hash(model: _SequenceModel, batch: TokenSequenceBatch) -> None:
         raise ValueError("batch was encoded with a different vocabulary than the model")
 
 
-def predict_proba(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: int = 512) -> np.ndarray:
-    _check_hash(model, batch)
-    out = np.empty(len(batch), dtype=np.float64)
-    for start in range(0, len(batch), batch_size):
-        sl = slice(start, start + batch_size)
-        z = model.forward(batch.tokens[sl], batch.lengths[sl]).data.astype(np.float64)
-        out[sl] = ag.logistic(z)
-    return out
+def _score(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: int) -> tuple[np.ndarray, float]:
+    """Completion probabilities and mean loss over ``batch``, one forward pass per slice.
 
-
-def evaluate_loss(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: int = 512) -> float:
+    Each slice's graph is dropped (only its logits array is kept) before the
+    next slice runs, so at most one slice's activations are alive.
+    """
     _check_hash(model, batch)
+    probs = np.empty(len(batch), dtype=np.float64)
     total = 0.0
     for start in range(0, len(batch), batch_size):
         sl = slice(start, start + batch_size)
-        loss = ag.bce_with_logits(model.forward(batch.tokens[sl], batch.lengths[sl]), batch.labels[sl])
-        total += float(loss.data) * (min(start + batch_size, len(batch)) - start)
-    return total / len(batch)
+        z = model.forward(batch.tokens[sl], batch.lengths[sl]).data
+        total += float(ag.bce_with_logits(ag.tensor(z), batch.labels[sl]).data) * len(z)
+        probs[sl] = ag.logistic(z.astype(np.float64))
+    return probs, total / len(batch)
+
+
+def predict_proba(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: int = 512) -> np.ndarray:
+    return _score(model, batch, batch_size)[0]
+
+
+def evaluate_loss(model: _SequenceModel, batch: TokenSequenceBatch, batch_size: int = 512) -> float:
+    return _score(model, batch, batch_size)[1]
 
 
 def train_sequence_model(
@@ -281,11 +287,10 @@ def train_sequence_model(
             opt.step(lr=ag.lr_schedule(step, peak_lr, warmup=warmup, total=total_steps))
             opt.zero_grad()
             running += float(loss.data) * idx.size
-        val_loss = evaluate_loss(model, val, bs)
-        val_auc = auc(predict_proba(model, val, bs), val.labels)
+        val_probs, val_loss = _score(model, val, bs)
         history["train_loss"].append(running / n)
         history["val_loss"].append(val_loss)
-        history["val_auc"].append(val_auc)
+        history["val_auc"].append(auc(val_probs, val.labels))
         if val_loss < best_loss:
             best_loss = val_loss
             best_epoch = epoch
@@ -306,7 +311,8 @@ def train_sequence_model(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_ARCHS = {
+# architecture name -> (model class, config class)
+ARCHS = {
     "transformer": (TransformerClassifier, TransformerConfig),
     "lstm": (LSTMClassifier, LSTMConfig),
 }
@@ -343,9 +349,9 @@ def load_checkpoint(path) -> _SequenceModel:
     at = len(_MAGIC) + 4
     header = json.loads(raw[at : at + blob_len].decode())
     at += blob_len
-    if header["arch"] not in _ARCHS:
+    if header["arch"] not in ARCHS:
         raise ValueError(f"unknown architecture {header['arch']!r}")
-    cls, cfg_cls = _ARCHS[header["arch"]]
+    cls, cfg_cls = ARCHS[header["arch"]]
     model = cls(header["vocab_size"], cfg_cls(**header["config"]), seed=0, vocab_hash=header["vocab_hash"])
     listed = [name for name, _ in header["tensors"]]
     missing = sorted(set(model._params) - set(listed))

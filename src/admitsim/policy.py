@@ -1,9 +1,10 @@
 """Ranking quality, contraction policies and decomposition of predictions.
 
 The AUC here is the tie-aware ranking probability P(score+ > score-) +
-0.5 P(tie).  It is computed from integer concordance counts so the result
-is exactly what a pairwise count would give.  Standard errors come from the
-DeLong structural-component decomposition.
+0.5 P(tie), computed as the Mann-Whitney U of the positives' midranks.
+Midranks are half-integers, so their float sums are exact and the result is
+exactly what a pairwise count would give.  Standard errors come from the
+DeLong structural-component decomposition over the same midranks.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk import RiskTable
+from .risk import RiskTable, group_rows
 
 __all__ = [
+    "GROUPINGS",
+    "BASELINES",
     "auc",
     "auc_se",
     "ContractionCurve",
@@ -33,57 +36,47 @@ __all__ = [
     "residual_matrix",
 ]
 
-GROUPINGS = ("within_program", "ungrouped", "per_field")
+GROUPINGS = ("within_program", "per_field", "ungrouped")
+BASELINES = ("gpa", "human")
 
 
-def _split_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def _classes(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores as float64 with the positive and negative row masks."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
-    pos = s[y == 1]
-    neg = s[y == 0]
-    if len(pos) == 0 or len(neg) == 0:
+    pos = y == 1
+    neg = y == 0
+    if not pos.any() or not neg.any():
         raise ValueError("AUC requires both classes present")
-    return pos, neg
-
-
-def auc(scores, labels) -> float:
-    """Tie-aware AUC from exact concordance counts."""
-    pos, neg = _split_scores(scores, labels)
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64)
-    order = np.argsort(s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-
-    boundary = np.empty(len(s_sorted), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = s_sorted[1:] != s_sorted[:-1]
-    group = np.cumsum(boundary) - 1
-    n_groups = group[-1] + 1
-    pos_in = np.bincount(group, weights=y_sorted, minlength=n_groups).astype(np.int64)
-    tot_in = np.bincount(group, minlength=n_groups).astype(np.int64)
-    neg_in = tot_in - pos_in
-    neg_before = np.concatenate(([0], np.cumsum(neg_in)[:-1]))
-
-    concordant = int(np.dot(neg_before, pos_in))
-    tied = int(np.dot(neg_in, pos_in))
-    return (concordant + 0.5 * tied) / (len(pos) * len(neg))
+    return s, pos, neg
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing their mean rank.
+
+    NaN ranks above every number; NaN never equals NaN, so each NaN takes its
+    own rank, in input order.
+    """
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
     xs = x[order]
-    while i < len(xs):
-        j = i
-        while j < len(xs) and xs[j] == xs[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(xs))
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
+
+
+def _mann_whitney(pos_ranks: np.ndarray, n_neg: int) -> float:
+    m = len(pos_ranks)
+    return float(pos_ranks.sum() - 0.5 * m * (m + 1)) / (m * n_neg)
+
+
+def auc(scores, labels) -> float:
+    """Tie-aware AUC from the midranks of the positives."""
+    s, pos, neg = _classes(scores, labels)
+    return _mann_whitney(_midranks(s)[pos], int(neg.sum()))
 
 
 def auc_se(scores, labels) -> tuple[float, float]:
@@ -92,16 +85,14 @@ def auc_se(scores, labels) -> tuple[float, float]:
     Returns NaN for the standard error when either class has fewer than two
     members, since the component variances are then undefined.
     """
-    pos, neg = _split_scores(scores, labels)
-    m, n = len(pos), len(neg)
-    r_all = _midranks(np.concatenate([pos, neg]))
-    r_pos = _midranks(pos)
-    r_neg = _midranks(neg)
-    v10 = (r_all[:m] - r_pos) / n
-    v01 = 1.0 - (r_all[m:] - r_neg) / m
-    value = auc(scores, labels)
+    s, pos, neg = _classes(scores, labels)
+    m, n = int(pos.sum()), int(neg.sum())
+    r_all = _midranks(s)
+    value = _mann_whitney(r_all[pos], n)
     if m < 2 or n < 2:
         return value, math.nan
+    v10 = (r_all[pos] - _midranks(s[pos])) / n
+    v01 = 1.0 - (r_all[neg] - _midranks(s[neg])) / m
     var = np.var(v10, ddof=1) / m + np.var(v01, ddof=1) / n
     return value, math.sqrt(max(var, 0.0))
 
@@ -145,20 +136,18 @@ def contraction_curve(table: RiskTable, grouping: str = "within_program", n_bins
     """
     if n_bins < 1:
         raise ValueError("n_bins must be positive")
-    keys = _group_keys(table, grouping)
     counts = np.zeros(n_bins, dtype=np.int64)
     grads = np.zeros(n_bins, dtype=np.int64)
-    for key in np.unique(keys):
-        mask = keys == key
-        m = int(mask.sum())
+    for key, rows in group_rows(_group_keys(table, grouping)):
+        m = len(rows)
         if m < n_bins:
             warnings.warn(
                 f"group {key!r} has {m} students for {n_bins} bins; assigning by rank index",
                 stacklevel=2,
             )
-        order = np.argsort(table.p_hat[mask], kind="mergesort")
+        order = np.argsort(table.p_hat[rows], kind="mergesort")
         bins = np.arange(m, dtype=np.int64) * n_bins // m
-        outcome = table.outcome[mask][order]
+        outcome = table.outcome[rows][order]
         counts += np.bincount(bins, minlength=n_bins)
         grads += np.bincount(bins, weights=outcome, minlength=n_bins).astype(np.int64)
     return ContractionCurve(grouping=grouping, n_bins=n_bins, counts=counts, graduates=grads)
@@ -211,18 +200,16 @@ def contraction_counterfactual(
         if np.any(np.isnan(base_key)):
             raise ValueError("human baseline requires a decile for every row")
     else:
-        raise ValueError(f"unknown baseline {baseline!r}")
+        raise ValueError(f"unknown baseline {baseline!r}; expected one of {BASELINES}")
 
     n_rejected = 0
     model_grads = 0
     base_grads = 0
-    for pid in np.unique(table.program_id):
-        mask = table.program_id == pid
-        m = int(mask.sum())
-        k = math.ceil(fraction * m)
-        outcome = table.outcome[mask]
-        model_order = np.argsort(table.p_hat[mask], kind="mergesort")
-        base_order = np.argsort(base_key[mask], kind="mergesort")
+    for _, rows in group_rows(table.program_id):
+        k = math.ceil(fraction * len(rows))
+        outcome = table.outcome[rows]
+        model_order = np.argsort(table.p_hat[rows], kind="mergesort")
+        base_order = np.argsort(base_key[rows], kind="mergesort")
         n_rejected += k
         model_grads += int(outcome[model_order[:k]].sum())
         base_grads += int(outcome[base_order[:k]].sum())
@@ -288,16 +275,15 @@ def within_program_rank_corr(table: RiskTable, other, min_size: int = 3) -> floa
         raise ValueError("other must match the table length")
     total_w = 0.0
     acc = 0.0
-    for pid in np.unique(table.program_id):
-        mask = table.program_id == pid
-        if int(mask.sum()) < min_size:
+    for _, rows in group_rows(table.program_id):
+        if len(rows) < min_size:
             continue
-        a = table.p_hat[mask]
-        b = other[mask]
+        a = table.p_hat[rows]
+        b = other[rows]
         if np.all(a == a[0]) or np.all(b == b[0]):
             continue
-        acc += mask.sum() * spearman(a, b)
-        total_w += mask.sum()
+        acc += len(rows) * spearman(a, b)
+        total_w += len(rows)
     if total_w == 0.0:
         raise ValueError("no program large enough for a rank correlation")
     return acc / total_w

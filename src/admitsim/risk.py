@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RiskTable"]
+__all__ = ["RiskTable", "group_rows"]
 
 _CORE_COLUMNS = [
     "student_id",
@@ -113,7 +113,9 @@ class RiskTable:
     def from_csv(cls, path: str) -> "RiskTable":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path} is empty: a risk table needs its header row")
             rows = list(reader)
         cols = {name: [r[i] for r in rows] for i, name in enumerate(header)}
         attrs = {
@@ -146,6 +148,13 @@ class RiskTable:
             ),
             first_year_gpa=floats("first_year_gpa"),
         )
+
+
+def group_rows(keys) -> list[tuple[object, np.ndarray]]:
+    """(key, row indices) for each distinct key: keys sorted, rows in table order."""
+    uniq, inverse = np.unique(np.asarray(keys), return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    return list(zip(uniq, np.split(order, np.cumsum(np.bincount(inverse))[:-1])))
 
 
 def _fmt_opt(arr: np.ndarray | None, i: int) -> str:

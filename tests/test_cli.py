@@ -3,14 +3,16 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from admitsim import cli
 from admitsim.cohort import Cohort, load_cohort
-from admitsim.models.features import featurize, fit_feature_schema
+from admitsim.models.features import FeatureSchema, featurize, fit_feature_schema
 from admitsim.models.logreg import train_logreg
+from admitsim.seqenc import TokenSequenceBatch
 
 
 def write_config(path, **overrides):
@@ -377,12 +379,53 @@ def test_predict_matches_in_memory_tabular_model(tmp_path):
     np.testing.assert_array_equal(np.array([float(r[1]) for r in rows[1:]]), want)
 
 
-def test_schema_with_unordered_blocks_is_refused(tmp_path):
-    path = tmp_path / "feature_schema.json"
-    path.write_text(
-        json.dumps({"variant": "human", "expand_ordinals": True, "continuous": ["gpa"], "binary": [],
-                    "ordinals": {"human_decile": [1.0, 2.0]}, "nominals": {"program": ["P0"]}}),
-        encoding="utf-8",
-    )
+def test_schema_with_unordered_blocks_is_refused():
+    payload = {"variant": "human", "expand_ordinals": True, "continuous": ["gpa"], "binary": [],
+               "ordinals": {"human_decile": [1.0, 2.0]}, "nominals": {"program": ["P0"]}}
     with pytest.raises(ValueError, match="unordered"):
-        cli._load_schema(str(path))
+        FeatureSchema.from_dict(payload)
+
+
+def test_minimal_config_hash_is_pinned(tmp_path):
+    # the resolved defaults (grouping, baseline and attribute order included) feed every manifest
+    path = tmp_path / "run.json"
+    path.write_text('{"version": 1}', encoding="utf-8")
+    digest = cli.config_hash(cli.load_config(str(path)))
+    assert digest == "9158541202bd3290b494b793b73f94c1e81a9fea85823e1eb451ace47aa69562"
+
+
+def test_predict_refuses_reordered_sequence_rows(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "run.json",
+        cohort={"n_students": 200, "n_programs": 6, "start_year": 2007, "end_year": 2010},
+        model={"family": "lstm", "params": {"n_layers": 1, "hidden": 8}},
+        training={"epochs": 1, "warmup": 2},
+    )
+    out = tmp_path / "run"
+    for command in ("generate", "encode", "train"):
+        assert run(command, "--config", cfg, "--out", out) == 0, command
+    batch = TokenSequenceBatch.load(out / "test.aseq")
+    order = np.arange(len(batch))
+    order[[0, 1]] = [1, 0]
+    batch.subset(order).save(out / "test.aseq")
+    assert run("predict", "--config", cfg, "--out", out) == 1
+    assert "test.aseq" in capsys.readouterr().err
+    assert not (out / "predictions_test.csv").exists()
+
+
+def test_report_refuses_runs_sharing_a_name(pipeline, tmp_path, capsys):
+    cfg, out = pipeline
+    runs = [tmp_path / "a" / "run", tmp_path / "b" / "run"]
+    for copy in runs:
+        shutil.copytree(out, copy)
+    assert run("report", "--config", cfg, "--out", tmp_path / "merged", "--runs", *runs) == 1
+    assert "'run'" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_empty_risk_table(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "risk_test.csv").write_text("", encoding="utf-8")
+    assert run("evaluate", "--config", cfg, "--out", out) == 1
+    assert "risk_test.csv" in capsys.readouterr().err

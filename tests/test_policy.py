@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -203,6 +204,47 @@ def test_within_program_rank_corr_perfect():
     table = _table(p, y, program=prog)
     assert policy.within_program_rank_corr(table, p**3) == pytest.approx(1.0)
     assert policy.within_program_rank_corr(table, -p) == pytest.approx(-1.0)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a call that never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError("rank routine did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _nan_as_top(x):
+    # NaN ranks above every number, one rank per NaN in input order
+    x = np.array(x, dtype=float)
+    nan = np.isnan(x)
+    x[nan] = np.nanmax(x) + 1.0 + np.arange(nan.sum())
+    return x
+
+
+def test_rank_statistics_return_on_nan(deadline):
+    rng = np.random.default_rng(17)
+    s = rng.integers(0, 6, size=60).astype(float)
+    s[[3, 11, 12, 40]] = np.nan
+    y = rng.integers(0, 2, size=60)
+    y[:2] = [0, 1]
+    value, se = policy.auc_se(s, y)
+    assert (value, se) == policy.auc_se(_nan_as_top(s), y)
+    assert value == policy.auc(s, y) == policy.auc(_nan_as_top(s), y)
+    other = rng.random(60)
+    assert policy.spearman(s, other) == policy.spearman(_nan_as_top(s), other)
+
+    prog = np.repeat(["A", "B", "C"], 20)
+    table = _table(rng.random(60), y, program=prog)
+    got = policy.within_program_rank_corr(table, s)
+    want = policy.within_program_rank_corr(table, np.concatenate([_nan_as_top(s[prog == p]) for p in "ABC"]))
+    assert math.isfinite(got) and got == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -239,6 +240,21 @@ def test_frozen_embedding_rows_survive_training(encoded):
     assert np.all(emb[PAD] == 0.0)
     assert np.all(emb[NULL] == 0.0)
     assert np.any(emb[CLS] != 0.0)
+
+
+def test_validation_is_scored_in_one_forward_pass():
+    model = tiny_transformer()
+    train, val = rand_batch(n=10, seed=1), rand_batch(n=7, seed=2)
+    calls = []
+    forward = model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    model.forward = counted
+    train_sequence_model(model, train, val, epochs=1, batch_size=4, warmup=1)
+    assert len(calls) == math.ceil(len(train) / 4) + math.ceil(len(val) / 4)
 
 
 def test_float64_rerun_is_bit_identical(encoded):
