@@ -49,7 +49,7 @@ from .models.adapters import ATTRIBUTES, build_risk_table
 from .models.features import FeatureSchema, featurize, fit_feature_schema
 from .models.gbt import GBTModel, train_gbt
 from .models.logreg import LogisticModel, train_logreg
-from .models.search import random_search_cv
+from .models.search import fit_tabular, random_search_cv
 from .models.sequence import ARCHS, load_checkpoint, save_checkpoint, train_sequence_model
 from .models.sequence import predict_proba as sequence_predict_proba
 from .policy import (
@@ -135,16 +135,28 @@ def _fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-# model.params keys: a tabular trainer's keywords after (x, y), or a sequence
-# config's fields; the seed and dtype come from the top-level config
+def _keyword_defaults(fn, *drop: str) -> dict:
+    """``fn``'s parameters that have a default, less ``drop``, mapped to it.
+
+    The config's defaults are read from here, so ``admitsim`` and a library
+    call with the same keywords left out fit and score the same way.
+    """
+    return {
+        name: p.default
+        for name, p in inspect.signature(fn).parameters.items()
+        if p.default is not p.empty and name not in drop
+    }
+
+
+# model.params keys: a tabular trainer's keywords, or a sequence config's
+# fields; the seed and dtype come from the top-level config
 _MODEL_PARAM_KEYS = {
-    **{
-        family: set(list(inspect.signature(fn).parameters)[2:]) - {"seed"}
-        for family, (fn, _) in TABULAR.items()
-    },
+    **{family: set(_keyword_defaults(fn, "seed")) for family, (fn, _) in TABULAR.items()},
     **{arch: _fields(cfg_cls) - {"dtype"} for arch, (_, cfg_cls) in ARCHS.items()},
 }
 _COHORT_KEYS = _fields(GeneratorConfig)
+_SEARCH_DEFAULTS = _keyword_defaults(random_search_cv, "seed", "log_path")
+_TAXIMETER_YEARS = _keyword_defaults(taximeter_value)["years"]
 
 _DEFAULTS: dict = {
     "version": 1,
@@ -152,26 +164,19 @@ _DEFAULTS: dict = {
     "out_dir": ".",
     "float64": False,
     "variant": "everything",
-    "min_count": 250,
-    "holdout_year": None,
-    "val_fraction": 0.05,
+    "min_count": _keyword_defaults(build_vocabulary)["min_count"],
+    "holdout_year": _keyword_defaults(temporal_split)["holdout_year"],
+    "val_fraction": _keyword_defaults(validation_split)["fraction"],
     "cohort": {},
     "model": {"family": "logreg", "params": {}, "search": None},
-    "training": {
-        "epochs": 10,
-        "batch_size": None,
-        "peak_lr": 5e-4,
-        "warmup": 100,
-        "patience": 3,
-        "weight_decay": 0.01,
-    },
+    "training": _keyword_defaults(train_sequence_model, "seed"),
     "evaluation": {
-        "fractions": [0.10],
+        "fractions": [_keyword_defaults(contraction_counterfactual)["fraction"]],
         "groupings": list(GROUPINGS),
-        "n_bins": 10,
+        "n_bins": _keyword_defaults(contraction_curve)["n_bins"],
         "baselines": list(BASELINES),
     },
-    "fairness": {"attributes": list(ATTRIBUTES), "alpha": 0.05},
+    "fairness": {"attributes": list(ATTRIBUTES), "alpha": _keyword_defaults(audit_attribute)["alpha"]},
     "econ": {
         "revenues": [0.0, 31_280_000.0, 86_710_000.0],
         "fixed_costs": [0.0, 10_000_000.0],
@@ -181,12 +186,12 @@ _DEFAULTS: dict = {
         "n_overridden": [341.0, 36.0],
         "override_rate": DEFAULT_OVERRIDE_RATE,
         "taximeter": [
-            {"yearly_rate_dkk": 44_000.0, "completion_bonus_dkk": 21_000.0, "years": 3},
-            {"yearly_rate_dkk": 92_400.0, "completion_bonus_dkk": 49_900.0, "years": 3},
+            {"yearly_rate_dkk": 44_000.0, "completion_bonus_dkk": 21_000.0, "years": _TAXIMETER_YEARS},
+            {"yearly_rate_dkk": 92_400.0, "completion_bonus_dkk": 49_900.0, "years": _TAXIMETER_YEARS},
         ],
         "mvpf": None,
     },
-    "explain": {"n_sequences": 100},
+    "explain": {"n_sequences": _keyword_defaults(saliency_profile)["n"]},
     "match": {"year": None},
 }
 
@@ -261,8 +266,8 @@ def _validate(raw: dict) -> dict:
     if search is not None:
         if model["family"] not in TABULAR:
             _fail("model.search is only supported for logreg and gbt")
-        _check_keys("model.search", search, {"n_candidates", "k_folds"})
-        search = _merged({"n_candidates": 30, "k_folds": 3}, search)
+        _check_keys("model.search", search, _SEARCH_DEFAULTS)
+        search = _merged(_SEARCH_DEFAULTS, search)
         _check_int("model.search", "n_candidates", search["n_candidates"], lo=1)
         _check_int("model.search", "k_folds", search["k_folds"], lo=2)
         model["search"] = search
@@ -307,7 +312,7 @@ def _validate(raw: dict) -> dict:
         _fail("econ.taximeter must be a list of objects")
     for entry in ec["taximeter"]:
         _check_keys("econ.taximeter", entry, {"yearly_rate_dkk", "completion_bonus_dkk", "years"})
-        entry.setdefault("years", 3)
+        entry.setdefault("years", _TAXIMETER_YEARS)
         if not _is_num(entry.get("yearly_rate_dkk")) or not _is_num(entry.get("completion_bonus_dkk")):
             _fail("econ.taximeter entries need numeric yearly_rate_dkk and completion_bonus_dkk")
         _check_int("econ.taximeter", "years", entry["years"], lo=0)
@@ -387,6 +392,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _cell(v):
+    """A CSV cell: a bool as 0/1, a float at full precision, anything else as is."""
+    if isinstance(v, bool):
+        return int(v)
+    return _g(v) if isinstance(v, float) else v
+
+
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -430,6 +442,17 @@ def _split_students(cohort: Cohort, ids: list[str]) -> list[Student]:
     if missing:
         raise ValueError(f"split references unknown student id {missing[0]}")
     return [by_id[i] for i in ids]
+
+
+def _check_family(found, family: str) -> None:
+    if found != family:
+        raise ConfigError(f"model file holds a {found} model but config asks for {family}")
+
+
+def _load_sequence_model(out: str, family: str):
+    model = load_checkpoint(_require(out, MODEL_BIN_FILE, "train"))
+    _check_family(model.arch, family)
+    return model
 
 
 def _check_finite(arr, what: str) -> None:
@@ -492,7 +515,7 @@ def cmd_encode(cfg: dict, args) -> int:
     return 0
 
 
-def _train_tabular(cfg: dict, args, out: str) -> tuple[list[str], list[str], list[str]]:
+def _train_tabular(cfg: dict, out: str) -> tuple[list[str], list[str], list[str]]:
     family = cfg["model"]["family"]
     cohort = load_cohort(_require(out, COHORT_FILE, "generate"))
     splits = _load_splits(out)
@@ -513,11 +536,10 @@ def _train_tabular(cfg: dict, args, out: str) -> tuple[list[str], list[str], lis
         outputs.append(SEARCH_LOG_FILE)
         notes.append(f"search selected {family} params with mean fold auc {best_auc:.6f}")
 
+    model = fit_tabular(family, params, x, y, seed=cfg["seed"])
     if family == "logreg":
-        model = train_logreg(x, y, **params)
         _check_finite(model.weights, "fitted weights")
     else:
-        model = train_gbt(x, y, seed=cfg["seed"], **params)
         _check_finite([model.base_margin], "fitted margins")
     _dump_json(os.path.join(out, MODEL_JSON_FILE), {"family": family, **model.to_dict()})
     return [COHORT_FILE, SPLITS_FILE], outputs, notes
@@ -548,7 +570,7 @@ def cmd_train(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     family = cfg["model"]["family"]
     if family in TABULAR:
-        inputs, outputs, notes = _train_tabular(cfg, args, out)
+        inputs, outputs, notes = _train_tabular(cfg, out)
     else:
         inputs, outputs, notes = _train_sequence(cfg, out)
     _write_manifest(out, "train", cfg, inputs=inputs, outputs=outputs, notes=notes)
@@ -568,14 +590,13 @@ def cmd_predict(cfg: dict, args) -> int:
     if family in TABULAR:
         schema = FeatureSchema.from_dict(_load_json(_require(out, SCHEMA_FILE, "train")))
         payload = _load_json(_require(out, MODEL_JSON_FILE, "train"))
-        if payload.get("family") != family:
-            raise ConfigError(f"model file holds a {payload.get('family')} model but config asks for {family}")
+        _check_family(payload.get("family"), family)
         _, model_cls = TABULAR[family]
         x, _, _ = featurize(students, schema)
         probs = model_cls.from_dict(payload).predict_proba(x)
         inputs += [SCHEMA_FILE, MODEL_JSON_FILE]
     else:
-        model = load_checkpoint(_require(out, MODEL_BIN_FILE, "train"))
+        model = _load_sequence_model(out, family)
         batch = TokenSequenceBatch.load(_require(out, _batch_file(split), "encode"))
         if not np.array_equal(batch.student_ids, [s.id for s in students]):
             raise ValueError(f"{_batch_file(split)} does not hold the {split} split's students in split order")
@@ -618,6 +639,23 @@ def cmd_evaluate(cfg: dict, args) -> int:
     return 0
 
 
+# ContractionReport attributes, in contraction_counterfactual.csv's column order
+_COUNTERFACTUAL_COLUMNS = (
+    "baseline",
+    "fraction",
+    "n_rejected",
+    "model_graduates_rejected",
+    "baseline_graduates_rejected",
+    "model_rejected_rate",
+    "baseline_rejected_rate",
+    "dropout_reduction",
+    "pp_difference",
+)
+# FairnessVerdict fields, in fairness_tests.csv's column order
+_FAIRNESS_COLUMNS = ("attribute", "criterion", "z", "p_value", "alpha", "reject",
+                     "rate_a", "rate_b", "n_a", "n_b", "computable", "note")
+
+
 def cmd_contract(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     split = args.split
@@ -644,34 +682,8 @@ def cmd_contract(cfg: dict, args) -> int:
             except ValueError as exc:
                 notes.append(f"baseline {baseline} at fraction {fraction:g} skipped: {exc}")
                 continue
-            counter_rows.append(
-                [
-                    rep.baseline,
-                    _g(rep.fraction),
-                    rep.n_rejected,
-                    rep.model_graduates_rejected,
-                    rep.baseline_graduates_rejected,
-                    _g(rep.model_rejected_rate),
-                    _g(rep.baseline_rejected_rate),
-                    _g(rep.dropout_reduction),
-                    _g(rep.pp_difference),
-                ]
-            )
-    _write_csv(
-        os.path.join(out, COUNTERFACTUAL_FILE),
-        [
-            "baseline",
-            "fraction",
-            "n_rejected",
-            "model_graduates_rejected",
-            "baseline_graduates_rejected",
-            "model_rejected_rate",
-            "baseline_rejected_rate",
-            "dropout_reduction",
-            "pp_difference",
-        ],
-        counter_rows,
-    )
+            counter_rows.append([_cell(getattr(rep, c)) for c in _COUNTERFACTUAL_COLUMNS])
+    _write_csv(os.path.join(out, COUNTERFACTUAL_FILE), _COUNTERFACTUAL_COLUMNS, counter_rows)
 
     _write_manifest(
         out,
@@ -685,23 +697,6 @@ def cmd_contract(cfg: dict, args) -> int:
     return 0
 
 
-def _verdict_row(attribute: str, criterion: str, v) -> list:
-    return [
-        attribute,
-        criterion,
-        _g(v.z),
-        _g(v.p_value),
-        _g(v.alpha),
-        int(v.reject),
-        _g(v.rate_a),
-        _g(v.rate_b),
-        int(v.n_a),
-        int(v.n_b),
-        int(v.computable),
-        v.note,
-    ]
-
-
 def cmd_audit_fairness(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     split = args.split
@@ -712,21 +707,13 @@ def cmd_audit_fairness(cfg: dict, args) -> int:
     test_rows = []
     for attribute in attributes:
         audit = audit_attribute(table, attribute, alpha=alpha)
-        for key in ("independence", "separation_tpr", "separation_fpr"):
-            test_rows.append(_verdict_row(attribute, key, audit[key]))
         suff = audit["sufficiency"]
-        for i, v in enumerate(suff.bins):
-            test_rows.append(_verdict_row(attribute, f"sufficiency_bin_{i}", v))
-        test_rows.append(
-            [attribute, "sufficiency", "", "", _g(suff.alpha_per_bin), int(suff.reject),
-             "", "", "", "", 1, f"{len(suff.bins)} bins"]
-        )
-    _write_csv(
-        os.path.join(out, FAIRNESS_FILE),
-        ["attribute", "criterion", "z", "p_value", "alpha", "reject",
-         "rate_a", "rate_b", "n_a", "n_b", "computable", "note"],
-        test_rows,
-    )
+        verdicts = [audit["independence"], audit["separation_tpr"], audit["separation_fpr"], *suff.bins]
+        test_rows.extend([_cell(getattr(v, c)) for c in _FAIRNESS_COLUMNS] for v in verdicts)
+        summary = {"attribute": attribute, "criterion": "sufficiency", "alpha": suff.alpha_per_bin,
+                   "reject": suff.reject, "computable": True, "note": f"{len(suff.bins)} bins"}
+        test_rows.append([_cell(summary.get(c, "")) for c in _FAIRNESS_COLUMNS])
+    _write_csv(os.path.join(out, FAIRNESS_FILE), _FAIRNESS_COLUMNS, test_rows)
 
     abroca_rows = []
     for attribute in attributes:
@@ -758,7 +745,7 @@ def cmd_explain(cfg: dict, args) -> int:
     if cfg["model"]["family"] not in ARCHS:
         raise ConfigError("explain needs a sequence model (transformer or lstm)")
     split = args.split
-    model = load_checkpoint(_require(out, MODEL_BIN_FILE, "train"))
+    model = _load_sequence_model(out, cfg["model"]["family"])
     batch = TokenSequenceBatch.load(_require(out, _batch_file(split), "encode"))
     profile = saliency_profile(model, batch, n=cfg["explain"]["n_sequences"])
     profile.positions_to_csv(os.path.join(out, SALIENCY_POSITIONS_FILE))

@@ -265,13 +265,13 @@ def sufficiency_test(
         if not mask.any():
             verdict.bins.append(
                 FairnessVerdict(
-                    f"sufficiency_bin{b}", attribute, math.nan, math.nan, alpha_per_bin,
+                    f"sufficiency_bin_{b}", attribute, math.nan, math.nan, alpha_per_bin,
                     False, math.nan, math.nan, 0, 0, computable=False, note="empty bin",
                 )
             )
             continue
         verdict.bins.append(
-            _rate_test(f"sufficiency_bin{b}", attribute, table.outcome[mask], member[mask], alpha_per_bin)
+            _rate_test(f"sufficiency_bin_{b}", attribute, table.outcome[mask], member[mask], alpha_per_bin)
         )
     return verdict
 

@@ -84,38 +84,19 @@ def raw_features(student: Student) -> dict:
     return out
 
 
-# variant -> feature blocks beyond the GPA + enrollment-place core
-_CONT_BY_VARIANT = {
-    "gpa_baseline": (),
-    "academic": ("field_stats",),
-    "application": ("field_stats",),
-    "human": ("field_stats",),
-    "sociodemo": ("field_stats", "cutoff_gpa", "age", "parental_cont"),
-    "everything": ("field_stats", "cutoff_gpa", "age", "parental_cont"),
-}
-_NOMINAL_BY_VARIANT = {
-    "gpa_baseline": ("program",),
-    "academic": ("program", "education_type", "study_line", "enroll_isced"),
-    "application": ("program", "education_type", "study_line", "enroll_isced"),
-    "human": ("program", "education_type", "study_line", "enroll_isced"),
-    "sociodemo": ("program", "education_type", "study_line", "enroll_isced", "hs_institution", "edu_isced1", "edu_isced2"),
-    "everything": ("program", "education_type", "study_line", "enroll_isced", "hs_institution", "edu_isced1", "edu_isced2"),
-}
-_ORDINAL_BY_VARIANT = {
-    "gpa_baseline": (),
-    "academic": (),
-    "application": ("rank",),
-    "human": ("human_decile",),
-    "sociodemo": ("rank",),
-    "everything": ("rank", "human_decile"),
-}
-_BINARY_BY_VARIANT = {
-    "gpa_baseline": (),
-    "academic": (),
-    "application": ("quota2_applied",),
-    "human": (),
-    "sociodemo": ("female", "danish_origin"),
-    "everything": ("quota2_applied", "female", "danish_origin"),
+_ACADEMIC_NOMINALS = ("program", "education_type", "study_line", "enroll_isced")
+_SOCIO_BLOCKS = ("field_stats", "cutoff_gpa", "age", "parental_cont")
+_SOCIO_NOMINALS = _ACADEMIC_NOMINALS + ("hs_institution", "edu_isced1", "edu_isced2")
+# variant -> (continuous blocks beyond GPA, binary, ordinal and nominal features)
+_VARIANT_FEATURES = {
+    "gpa_baseline": ((), (), (), ("program",)),
+    "academic": (("field_stats",), (), (), _ACADEMIC_NOMINALS),
+    "application": (("field_stats",), ("quota2_applied",), ("rank",), _ACADEMIC_NOMINALS),
+    "human": (("field_stats",), (), ("human_decile",), _ACADEMIC_NOMINALS),
+    "sociodemo": (_SOCIO_BLOCKS, ("female", "danish_origin"), ("rank",), _SOCIO_NOMINALS),
+    "everything": (
+        _SOCIO_BLOCKS, ("quota2_applied", "female", "danish_origin"), ("rank", "human_decile"), _SOCIO_NOMINALS
+    ),
 }
 
 
@@ -179,8 +160,8 @@ def fit_feature_schema(train: Cohort, variant: str, expand_ordinals: bool = True
         raise ValueError(f"unknown variant {variant!r}")
     raws = [raw_features(s) for s in train.students]
 
+    blocks, binary, ordinal_names, nominal_names = _VARIANT_FEATURES[variant]
     continuous: list[str] = ["gpa"]
-    blocks = _CONT_BY_VARIANT[variant]
     if "field_stats" in blocks:
         courses = sorted({k.split(":", 1)[1] for r in raws for k in r if k.startswith("course_mean:")})
         continuous.extend(f"course_mean:{c}" for c in courses)
@@ -194,12 +175,12 @@ def fit_feature_schema(train: Cohort, variant: str, expand_ordinals: bool = True
         continuous.extend(("income1", "income2", "wealth1", "wealth2", "edu_months1", "edu_months2"))
 
     ordinals: dict[str, tuple[float, ...]] = {}
-    for name in _ORDINAL_BY_VARIANT[variant]:
+    for name in ordinal_names:
         values = sorted({r[name] for r in raws if not math.isnan(r[name])})
         ordinals[name] = tuple(values)
 
     nominals: dict[str, tuple[str, ...]] = {}
-    for name in _NOMINAL_BY_VARIANT[variant]:
+    for name in nominal_names:
         cats = sorted({r[name] for r in raws if r[name] is not None})
         nominals[name] = tuple(cats)
 
@@ -207,7 +188,7 @@ def fit_feature_schema(train: Cohort, variant: str, expand_ordinals: bool = True
         variant=variant,
         expand_ordinals=expand_ordinals,
         continuous=tuple(continuous),
-        binary=tuple(_BINARY_BY_VARIANT[variant]),
+        binary=binary,
         ordinals=ordinals,
         nominals=nominals,
     )

@@ -20,7 +20,7 @@ from ..policy import auc
 from .gbt import train_gbt
 from .logreg import train_logreg
 
-__all__ = ["draw_candidates", "random_search_cv"]
+__all__ = ["draw_candidates", "fit_tabular", "random_search_cv"]
 
 _PENALTY_CHOICES = (None, "l2", "l1", "elasticnet")
 
@@ -53,13 +53,13 @@ def draw_candidates(family: str, n_candidates: int, rng: np.random.Generator) ->
     return out
 
 
-def _fit_predict(family: str, params: dict, x_tr, y_tr, x_val, fit_seed: int):
+def fit_tabular(family: str, params: dict, x, y, seed: int = 0):
+    """Fit a ``family`` model with its trainer's keyword ``params``; gbt draws from ``seed``."""
+    if family == "logreg":
+        return train_logreg(x, y, **params)
     if family == "gbt":
-        model = train_gbt(x_tr, y_tr, seed=fit_seed, **params)
-    else:
-        l1_ratio = params["l1_ratio"] if params["penalty"] == "elasticnet" else None
-        model = train_logreg(x_tr, y_tr, C=params["C"], penalty=params["penalty"], l1_ratio=l1_ratio)
-    return model.predict_proba(x_val)
+        return train_gbt(x, y, seed=seed, **params)
+    raise ValueError(f"unknown model family {family!r}")
 
 
 def random_search_cv(
@@ -99,9 +99,8 @@ def random_search_cv(
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # non-convergence at extreme penalties is expected
-                probs = _fit_predict(
-                    family, params, x[tr_idx], y[tr_idx], x[val_idx], substream_seed(seed, f"fit-{ci}-{fi}")
-                )
+                model = fit_tabular(family, params, x[tr_idx], y[tr_idx], substream_seed(seed, f"fit-{ci}-{fi}"))
+                probs = model.predict_proba(x[val_idx])
             fold_aucs.append(auc(probs, y[val_idx]))
         scored = [a for a in fold_aucs if not math.isnan(a)]
         mean_auc = float(np.mean(scored)) if scored else float("nan")

@@ -30,7 +30,6 @@ __all__ = [
     "spearman",
     "score_outcome_correlations",
     "within_program_rank_corr",
-    "counterfactual_predict",
     "FEResult",
     "fit_two_way_fe",
     "residual_matrix",
@@ -142,7 +141,7 @@ def contraction_curve(table: RiskTable, grouping: str = "within_program", n_bins
         m = len(rows)
         if m < n_bins:
             warnings.warn(
-                f"group {key!r} has {m} students for {n_bins} bins; assigning by rank index",
+                f"group {str(key)!r} has {m} students for {n_bins} bins; assigning by rank index",
                 stacklevel=2,
             )
         order = np.argsort(table.p_hat[rows], kind="mergesort")
@@ -287,13 +286,6 @@ def within_program_rank_corr(table: RiskTable, other, min_size: int = 3) -> floa
     if total_w == 0.0:
         raise ValueError("no program large enough for a rank correlation")
     return acc / total_w
-
-
-def counterfactual_predict(predictor, student, program) -> float:
-    """Model score for ``student`` had they enrolled in ``program``."""
-    from .cohort import with_enrollment
-
-    return float(predictor.predict_students([with_enrollment(student, program)])[0])
 
 
 # ---------------------------------------------------------------------------

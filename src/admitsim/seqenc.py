@@ -281,10 +281,6 @@ class Vocabulary:
     def id_for(self, channel: str, token: str) -> int:
         return self.index.get(f"{channel}:{token}", UNK)
 
-    def channel_tokens(self, channel: str) -> list[str]:
-        prefix = channel + ":"
-        return sorted(t[len(prefix):] for t in self.index if t.startswith(prefix))
-
     def vocab_hash(self) -> str:
         payload = json.dumps(sorted(self.index.items()), separators=(",", ":")).encode()
         return hashlib.sha256(payload).hexdigest()

@@ -429,3 +429,32 @@ def test_evaluate_refuses_empty_risk_table(tmp_path, capsys):
     (out / "risk_test.csv").write_text("", encoding="utf-8")
     assert run("evaluate", "--config", cfg, "--out", out) == 1
     assert "risk_test.csv" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def lstm_run(tmp_path_factory):
+    """A run directory holding a trained LSTM, and a transformer config for it."""
+    root = tmp_path_factory.mktemp("lstm")
+    common = {
+        "cohort": {"n_students": 200, "n_programs": 6, "start_year": 2007, "end_year": 2010},
+        "training": {"epochs": 1, "warmup": 2},
+    }
+    cfg = write_config(root / "lstm.json", model={"family": "lstm", "params": {"n_layers": 1, "hidden": 8}}, **common)
+    out = root / "run"
+    for command in ("generate", "encode", "train"):
+        assert run(command, "--config", cfg, "--out", out) == 0, command
+    transformer = {"family": "transformer", "params": {"n_layers": 1, "hidden": 8, "n_heads": 2}}
+    return out, write_config(root / "transformer.json", model=transformer, **common)
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [("predict", "predictions_test.csv"), ("explain", "saliency_positions.csv")],
+    ids=["predict", "explain"],
+)
+def test_sequence_command_refuses_checkpoint_of_another_family(lstm_run, command, output, capsys):
+    out, transformer_cfg = lstm_run
+    assert run(command, "--config", transformer_cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "lstm" in err and "transformer" in err
+    assert not (out / output).exists()

@@ -30,9 +30,9 @@ from admitsim.models import (
     train_logreg,
 )
 from admitsim.models.gbt import _build_tree
-from admitsim.models.search import _fit_predict
+from admitsim.models.search import fit_tabular
 from admitsim.policy import auc
-from admitsim.seqenc import build_vocabulary, compute_L, fit_binning_rules, sequence_lengths
+from admitsim.seqenc import VARIANTS, build_vocabulary, compute_L, fit_binning_rules, sequence_lengths
 from admitsim._seeds import substream
 
 
@@ -152,6 +152,45 @@ def test_featurize_alignment(cohort):
 def test_unknown_variant_rejected(cohort):
     with pytest.raises(ValueError):
         fit_feature_schema(cohort, "bogus")
+
+
+_FIELD_STATS = [
+    f"{f}_{stage}_{stat}"
+    for f in ("stem", "language", "other")
+    for stage in ("primary", "high_school")
+    for stat in ("mean", "std", "count")
+]
+_SOCIO_CONTINUOUS = ["cutoff_gpa", "age", "income1", "income2", "wealth1", "wealth2", "edu_months1", "edu_months2"]
+_ACADEMIC_NOMINALS = ["program", "education_type", "study_line", "enroll_isced"]
+_SOCIO_NOMINALS = _ACADEMIC_NOMINALS + ["hs_institution", "edu_isced1", "edu_isced2"]
+# variant -> (continuous names other than course means, binary, ordinal keys, nominal keys)
+_SCHEMA_BY_VARIANT = {
+    "gpa_baseline": (["gpa"], [], [], ["program"]),
+    "academic": (["gpa"] + _FIELD_STATS, [], [], _ACADEMIC_NOMINALS),
+    "application": (["gpa"] + _FIELD_STATS, ["quota2_applied"], ["rank"], _ACADEMIC_NOMINALS),
+    "human": (["gpa"] + _FIELD_STATS, [], ["human_decile"], _ACADEMIC_NOMINALS),
+    "sociodemo": (["gpa"] + _FIELD_STATS + _SOCIO_CONTINUOUS, ["female", "danish_origin"], ["rank"], _SOCIO_NOMINALS),
+    "everything": (
+        ["gpa"] + _FIELD_STATS + _SOCIO_CONTINUOUS,
+        ["quota2_applied", "female", "danish_origin"],
+        ["rank", "human_decile"],
+        _SOCIO_NOMINALS,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_feature_schema_blocks_per_variant(cohort, variant):
+    # the feature variants are exactly the token variants
+    assert set(_SCHEMA_BY_VARIANT) == set(VARIANTS)
+    continuous, binary, ordinals, nominals = _SCHEMA_BY_VARIANT[variant]
+    schema = fit_feature_schema(cohort, variant)
+    assert [c for c in schema.continuous if not c.startswith("course_mean:")] == continuous
+    assert list(schema.binary) == binary
+    assert list(schema.ordinals) == ordinals
+    assert list(schema.nominals) == nominals
+    has_courses = any(c.startswith("course_mean:") for c in schema.continuous)
+    assert has_courses == (variant != "gpa_baseline")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +422,7 @@ def test_gbt_params_wire_through():
         "reg_alpha": 0.1,
         "n_estimators": 5,
     }
-    probs = _fit_predict("gbt", params, x[:40], y[:40], x[40:], fit_seed=1)
+    probs = fit_tabular("gbt", params, x[:40], y[:40], seed=1).predict_proba(x[40:])
     assert probs.shape == (20,)
     assert ((0 <= probs) & (probs <= 1)).all()
 

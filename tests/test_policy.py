@@ -111,6 +111,13 @@ def test_contraction_curve_small_group_warns():
     with pytest.warns(UserWarning, match="rank index"):
         curve = policy.contraction_curve(_table(p, y), grouping="ungrouped", n_bins=10)
     assert curve.counts.sum() == 7
+    # a string-keyed group is named as a plain string, not as a numpy scalar repr
+    table = _table(p, y, program=["p003"] * 7)
+    with pytest.warns(UserWarning, match="rank index") as caught:
+        policy.contraction_curve(table, grouping="within_program", n_bins=10)
+    message = str(caught[0].message)
+    assert message.startswith("group 'p003' has 7 students")
+    assert "np.str_" not in message
 
 
 def test_contraction_curve_pools_groups_by_membership():
