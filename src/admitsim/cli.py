@@ -10,6 +10,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -234,11 +235,13 @@ def _validate(raw: dict) -> dict:
     _check_keys("config", raw, _DEFAULTS)
     if raw.get("version") != 1:
         _fail("config must declare version: 1")
-    cfg = {k: raw.get(k, v) for k, v in _DEFAULTS.items()}
+    # a copy, so that a caller who edits the resolved config leaves the defaults alone
+    defaults = copy.deepcopy(_DEFAULTS)
+    cfg = {k: raw.get(k, v) for k, v in defaults.items()}
     for key in ("cohort", "model", "training", "evaluation", "fairness", "econ", "explain", "match"):
-        _check_keys(key, cfg[key], _DEFAULTS[key] if key != "cohort" else _COHORT_KEYS)
+        _check_keys(key, cfg[key], defaults[key] if key != "cohort" else _COHORT_KEYS)
         if key != "cohort":
-            cfg[key] = _merged(_DEFAULTS[key], cfg[key])
+            cfg[key] = _merged(defaults[key], cfg[key])
 
     _check_int("config", "seed", cfg["seed"], lo=0)
     if not isinstance(cfg["out_dir"], str):

@@ -40,6 +40,23 @@ def _mode(values: Iterable[str]) -> str | None:
     return sorted(v for v, c in counts.items() if c == top)[0]
 
 
+def _std(vals: list[int]) -> float:
+    """``np.std`` of integer grades, bit for bit, without numpy for small lists.
+
+    The integer sum is exact, so the mean is the correctly rounded quotient
+    either way.  numpy sums up to 8 squared deviations in order, so the loop
+    below repeats its rounding (``sum`` would not: from Python 3.12 it
+    compensates float rounding); longer lists go to numpy's pairwise sum.
+    """
+    if len(vals) > 8:
+        return float(np.std(vals))
+    mean = sum(vals) / len(vals)
+    ss = 0.0
+    for v in vals:
+        ss += (v - mean) * (v - mean)
+    return math.sqrt(ss / len(vals))
+
+
 def raw_features(student: Student) -> dict:
     """Untyped feature dict; the schema decides which keys become columns."""
     grades = [e for e in student.events if isinstance(e, GradeEvent)]
@@ -55,13 +72,13 @@ def raw_features(student: Student) -> dict:
         per_course.setdefault(e.course, []).append(e.grade)
         per_cell.setdefault((COURSE_CATALOG.get(e.course, "other"), e.school_stage), []).append(e.grade)
     for course, vals in per_course.items():
-        out[f"course_mean:{course}"] = float(np.mean(vals))
+        out[f"course_mean:{course}"] = sum(vals) / len(vals)
     for f in _FIELDS:
         for st in _STAGES:
             vals = per_cell.get((f, st), [])
             out[f"{f}_{st}_count"] = float(len(vals))
-            out[f"{f}_{st}_mean"] = float(np.mean(vals)) if vals else math.nan
-            out[f"{f}_{st}_std"] = float(np.std(vals)) if vals else math.nan
+            out[f"{f}_{st}_mean"] = sum(vals) / len(vals) if vals else math.nan
+            out[f"{f}_{st}_std"] = _std(vals) if vals else math.nan
 
     out["education_type"] = _mode(e.education_type for e in grades)
     out["study_line"] = _mode(e.study_line for e in grades)

@@ -9,9 +9,26 @@ leaves the same way it does in the usual boosting libraries:
     gain  = (score_left + score_right - score_parent) / 2
     leaf  = -T(G) / (H + lambda)
 
+Split finding is exact greedy with sparsity-aware missing values (Chen &
+Guestrin 2016).  ``train_gbt`` codes each column once per fit: a value's
+code is its index among the column's sorted distinct values, and NaN gets
+the code after the last.  At each depth, per column, ``np.bincount`` over
+(frontier node, code) gives the gradient sum, hessian sum and row count of
+every code in every node; a cumulative sum over the codes present in a node
+then scores every cut between two adjacent present values, exactly the
+partitions a sort of the node's rows would give.  The threshold is the
+midpoint of the two values, and rows are routed with the same
+``value < threshold`` comparison that prediction uses.
+
 Missing values learn a default direction per split by trying both sides.
 Tie-breaking is deterministic: the lowest feature index wins, then the
-lowest threshold, and a missing-direction tie goes left.
+lowest threshold, and a missing-direction tie goes left.  A node with no
+NaN in a column has an empty NaN bin whose sums are exactly 0, so both
+directions gain the same and NaN goes left.  Two features that cut a node
+into the same two row sets (or, in the first tree, where every row has the
+same hessian, into sets with the same label counts) tie in exact
+arithmetic; their sums are added in different orders, so rounding, not the
+feature index, decides between them.
 """
 
 from __future__ import annotations
@@ -112,8 +129,25 @@ class GBTModel:
         )
 
 
+def _value_codes(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per column, each row's index among the column's sorted distinct values.
+
+    Returns the (d, n) codes and, per column, its K sorted distinct finite
+    values; NaN gets code K.
+    """
+    codes = np.empty((x.shape[1], x.shape[0]), dtype=np.int32)
+    values = []
+    for j in range(x.shape[1]):
+        uniq, codes[j] = np.unique(x[:, j], return_inverse=True, equal_nan=True)  # NaN sorts last
+        values.append(uniq[~np.isnan(uniq)])
+    return codes, values
+
+
 def _build_tree(
-    xs: np.ndarray,
+    x: np.ndarray,
+    codes: np.ndarray,
+    values: list[np.ndarray],
+    rows: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     cols: np.ndarray,
@@ -122,13 +156,13 @@ def _build_tree(
     alpha: float,
     learning_rate: float,
 ) -> _Tree:
-    m = xs.shape[0]
-    orders = []
-    for j in range(xs.shape[1]):
-        col = xs[:, j]
-        finite = np.flatnonzero(~np.isnan(col))
-        orders.append(finite[np.argsort(col[finite], kind="stable")])
+    """One tree on the training ``rows`` and candidate ``cols`` of ``x``.
 
+    ``codes`` and ``values`` come from ``_value_codes(x)``; ``g`` and ``h``
+    are indexed like the rows of ``x``.
+    """
+    g = g[rows]
+    h = h[rows]
     feature = [-1]
     threshold = [np.nan]
     nan_left = [False]
@@ -137,11 +171,9 @@ def _build_tree(
     node_g = [float(g.sum())]
     node_h = [float(h.sum())]
 
-    node_of = np.zeros(m, dtype=np.int64)
+    node_of = np.zeros(rows.size, dtype=np.int64)
     frontier = [0]
     for _depth in range(max_depth):
-        if not frontier:
-            break
         nf = len(frontier)
         fpos = np.full(len(feature), -1, dtype=np.int64)
         fpos[frontier] = np.arange(nf)
@@ -156,39 +188,29 @@ def _build_tree(
         best_gl = np.zeros(nf)
         best_hl = np.zeros(nf)
 
-        for j in range(xs.shape[1]):
-            ord_j = orders[j]
-            k = fpos[node_of[ord_j]]
-            ord_j = ord_j[k >= 0]
-            if ord_j.size < 2:
-                continue
-            k = k[k >= 0]
-            grp = np.argsort(k, kind="stable")
-            k = k[grp]
-            rows = ord_j[grp]
-            v = xs[rows, j]
-            cg = np.cumsum(g[rows])
-            ch = np.cumsum(h[rows])
-            starts = np.flatnonzero(np.diff(k)) + 1
-            starts = np.concatenate([[0], starts])
-            ends = np.concatenate([starts[1:], [k.size]])
-            gids = k[starts]
-            base_g = np.where(starts > 0, cg[starts - 1], 0.0)
-            base_h = np.where(starts > 0, ch[starts - 1], 0.0)
-            tot_g = cg[ends - 1] - base_g
-            tot_h = ch[ends - 1] - base_h
-
-            seg = np.repeat(np.arange(starts.size), ends - starts)
-            cand = np.flatnonzero((seg[:-1] == seg[1:]) & (v[:-1] < v[1:]))
+        live = np.flatnonzero(fpos[node_of] >= 0)
+        k = fpos[node_of[live]]
+        g_live, h_live, rows_live = g[live], h[live], rows[live]
+        for j, col in enumerate(cols):
+            u = values[col]
+            width = u.size + 1
+            key = k * width + codes[col, rows_live]
+            count = np.bincount(key, minlength=nf * width).reshape(nf, width)
+            sum_g = np.bincount(key, g_live, nf * width).reshape(nf, width)
+            sum_h = np.bincount(key, h_live, nf * width).reshape(nf, width)
+            # present finite codes in (node, code) order; a candidate cuts
+            # between one and the next present code of the same node
+            at_n, at_c = np.nonzero(count[:, :-1])
+            cand = np.flatnonzero(at_n[:-1] == at_n[1:])
             if cand.size == 0:
                 continue
-            cseg = seg[cand]
-            gl_fin = cg[cand] - base_g[cseg]
-            hl_fin = ch[cand] - base_h[cseg]
-            pg = par_g[gids[cseg]]
-            ph = par_h[gids[cseg]]
-            nan_g = pg - tot_g[cseg]
-            nan_h = ph - tot_h[cseg]
+            cn, cc = at_n[cand], at_c[cand]
+            gl_fin = np.cumsum(sum_g[:, :-1], axis=1)[cn, cc]
+            hl_fin = np.cumsum(sum_h[:, :-1], axis=1)[cn, cc]
+            nan_g = sum_g[cn, -1]
+            nan_h = sum_h[cn, -1]
+            pg = par_g[cn]
+            ph = par_h[cn]
 
             def gain_of(gl, hl):
                 gr = pg - gl
@@ -197,38 +219,37 @@ def _build_tree(
 
             sc_l = gain_of(gl_fin + nan_g, hl_fin + nan_h)
             sc_r = gain_of(gl_fin, hl_fin)
-            to_left = sc_l >= sc_r
-            gain = 0.5 * (np.maximum(sc_l, sc_r) - par_score[gids[cseg]])
+            to_left = sc_l >= sc_r  # an empty NaN bin sums to exactly 0, so its tie goes left
+            gain = 0.5 * (np.maximum(sc_l, sc_r) - par_score[cn])
 
-            # first index of the per-group maximum keeps the lowest threshold
-            starts_c = np.flatnonzero(np.diff(np.concatenate([[-1], cseg])))
-            sizes_c = np.diff(np.concatenate([starts_c, [cseg.size]]))
-            grp_max = np.maximum.reduceat(gain, starts_c)
-            hit = np.flatnonzero(gain == np.repeat(grp_max, sizes_c))
-            pick_seg, pick_first = np.unique(cseg[hit], return_index=True)
-            picks = hit[pick_first]
-            for s, i in zip(pick_seg, picks):
-                node = gids[s]
-                if gain[i] > best_gain[node]:
-                    best_gain[node] = gain[i]
-                    best_feat[node] = j
-                    best_thr[node] = 0.5 * (v[cand[i]] + v[cand[i] + 1])
-                    best_nl[node] = bool(to_left[i])
-                    best_gl[node] = gl_fin[i] + (nan_g[i] if to_left[i] else 0.0)
-                    best_hl[node] = hl_fin[i] + (nan_h[i] if to_left[i] else 0.0)
+            # first index of the per-node maximum keeps the lowest threshold
+            top = np.full(nf, -np.inf)
+            np.maximum.at(top, cn, gain)
+            hit = np.flatnonzero(gain == top[cn])
+            picks = hit[np.unique(cn[hit], return_index=True)[1]]
+            picks = picks[gain[picks] > best_gain[cn[picks]]]
+            node = cn[picks]
+            best_gain[node] = gain[picks]
+            best_feat[node] = j
+            best_thr[node] = 0.5 * (u[cc[picks]] + u[at_c[cand[picks] + 1]])
+            best_nl[node] = to_left[picks]
+            best_gl[node] = gl_fin[picks] + np.where(to_left[picks], nan_g[picks], 0.0)
+            best_hl[node] = hl_fin[picks] + np.where(to_left[picks], nan_h[picks], 0.0)
 
-        made_split = False
+        split = best_feat >= 0
+        if not split.any():
+            break
+        child = np.zeros(nf, dtype=np.int64)
         next_frontier = []
-        for pos, node in enumerate(frontier):
-            if best_feat[pos] < 0:
-                continue
-            made_split = True
-            lid, rid = len(feature), len(feature) + 1
+        for pos in np.flatnonzero(split):
+            node = frontier[pos]
+            lid = len(feature)
+            child[pos] = lid
             feature[node] = best_feat[pos]
             threshold[node] = best_thr[pos]
             nan_left[node] = bool(best_nl[pos])
             left[node] = lid
-            right[node] = rid
+            right[node] = lid + 1
             for gg, hh in ((best_gl[pos], best_hl[pos]), (par_g[pos] - best_gl[pos], par_h[pos] - best_hl[pos])):
                 feature.append(-1)
                 threshold.append(np.nan)
@@ -237,20 +258,13 @@ def _build_tree(
                 right.append(len(feature) - 1)
                 node_g.append(float(gg))
                 node_h.append(float(hh))
-            next_frontier.extend([lid, rid])
-        if not made_split:
-            break
-        split_nodes = np.array(frontier)[best_feat >= 0]
-        moving = np.flatnonzero(np.isin(node_of, split_nodes))
-        feat_arr = np.array(feature, dtype=np.int64)
-        at = node_of[moving]
-        v = xs[moving, feat_arr[at]]
-        thr_arr = np.array(threshold)
-        nl_arr = np.array(nan_left, dtype=bool)
-        go_left = np.where(np.isnan(v), nl_arr[at], v < thr_arr[at])
-        l_arr = np.array(left, dtype=np.int64)
-        r_arr = np.array(right, dtype=np.int64)
-        node_of[moving] = np.where(go_left, l_arr[at], r_arr[at])
+            next_frontier.extend([lid, lid + 1])
+        # route rows with the comparison `_Tree.predict` makes
+        moving = split[k]
+        at = k[moving]
+        v = x[rows_live[moving], cols[best_feat[at]]]
+        go_left = np.where(np.isnan(v), best_nl[at], v < best_thr[at])
+        node_of[live[moving]] = child[at] + ~go_left
         frontier = next_frontier
 
     value = np.array(
@@ -291,6 +305,7 @@ def train_gbt(
     y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
     rng = substream(seed, "gbt")
+    codes, values = _value_codes(x)
 
     rate = float(np.clip(y.mean(), 1e-12, 1.0 - 1e-12))
     base = float(np.log(rate / (1.0 - rate)))
@@ -306,9 +321,7 @@ def train_gbt(
         cols = np.arange(d)
         if colsample_bytree < 1.0:
             cols = np.sort(rng.choice(d, size=max(1, round(colsample_bytree * d)), replace=False))
-        tree = _build_tree(
-            x[np.ix_(rows, cols)], g[rows], h[rows], cols, max_depth, reg_lambda, reg_alpha, learning_rate
-        )
+        tree = _build_tree(x, codes, values, rows, g, h, cols, max_depth, reg_lambda, reg_alpha, learning_rate)
         model.trees.append(tree)
         margin += tree.predict(x)
     return model

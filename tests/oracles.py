@@ -2,11 +2,14 @@
 
 Everything here is written for clarity over speed and stays independent of
 the fast paths it checks: direct series summation, pairwise concordance counts,
-fine-grid quadrature, brute-force scans, and an LSTM unrolled into one
-autograd node per elementary operation and time step.
+fine-grid quadrature, brute-force scans, an LSTM unrolled into one
+autograd node per elementary operation and time step, a split finder that
+tries every cut of one node, and the numpy-reduction feature extractor.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -143,3 +146,92 @@ def lstm_per_step(x, layers, lengths):
         m = real[:, t : t + 1]
         last = ag.add(ag.mul(last, ag.tensor(1.0 - m)), ag.mul(hidden[-1], ag.tensor(m)))
     return last
+
+
+def split_candidates(x, g, h, lam: float, alpha: float):
+    """Every exact-greedy split of one node, as (gain, feature, threshold, nan_left).
+
+    Per feature, each midpoint between adjacent distinct finite values is a
+    threshold; rows go left when ``value < threshold``, as at prediction time,
+    and the NaN rows try the left side, then the right.  Candidates come in
+    tie-break order: feature, then threshold, then NaN-left first.
+    """
+    x = np.asarray(x, dtype=np.float64)
+
+    def score(gs, hs):
+        total_g = sum(gs)
+        t = math.copysign(max(abs(total_g) - alpha, 0.0), total_g)
+        return t * t / (sum(hs) + lam)
+
+    parent = score(g, h)
+    out = []
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        missing = [i for i in range(len(col)) if math.isnan(col[i])]
+        distinct = sorted({v for v in col.tolist() if not math.isnan(v)})
+        for a, b in zip(distinct, distinct[1:]):
+            thr = 0.5 * (a + b)
+            below = [i for i in range(len(col)) if col[i] < thr]
+            above = [i for i in range(len(col)) if col[i] >= thr]
+            for nan_left in (True, False):
+                lo = below + missing if nan_left else below
+                hi = above if nan_left else above + missing
+                sc = score([g[i] for i in lo], [h[i] for i in lo]) + score([g[i] for i in hi], [h[i] for i in hi])
+                out.append((0.5 * (sc - parent), j, thr, nan_left))
+    return out
+
+
+def best_split(x, g, h, lam: float, alpha: float, min_gain: float = 1e-12):
+    """The first candidate of highest gain, or None when none gains more than ``min_gain``."""
+    best = None
+    for cand in split_candidates(x, g, h, lam, alpha):
+        if cand[0] > (best[0] if best else min_gain):
+            best = cand
+    return best
+
+
+def raw_features(student) -> dict:
+    """Untyped feature dict with numpy means and standard deviations."""
+    from admitsim.cohort import COURSE_CATALOG, ApplicationEvent, EnrollmentEvent, GradeEvent
+    from admitsim.models.features import _FIELDS, _STAGES, _mode
+
+    grades = [e for e in student.events if isinstance(e, GradeEvent)]
+    apps = [e for e in student.events if isinstance(e, ApplicationEvent)]
+    enrollment = next((e for e in student.events if isinstance(e, EnrollmentEvent)), None)
+    enrolled_app = next((a for a in apps if a.program_id == student.enrolled_program), None)
+    socio = student.sociodemo
+
+    out: dict = {"gpa": student.gpa}
+    per_course: dict[str, list[int]] = {}
+    per_cell: dict[tuple[str, str], list[int]] = {}
+    for e in grades:
+        per_course.setdefault(e.course, []).append(e.grade)
+        per_cell.setdefault((COURSE_CATALOG.get(e.course, "other"), e.school_stage), []).append(e.grade)
+    for course, vals in per_course.items():
+        out[f"course_mean:{course}"] = float(np.mean(vals))
+    for f in _FIELDS:
+        for st in _STAGES:
+            vals = per_cell.get((f, st), [])
+            out[f"{f}_{st}_count"] = float(len(vals))
+            out[f"{f}_{st}_mean"] = float(np.mean(vals)) if vals else math.nan
+            out[f"{f}_{st}_std"] = float(np.std(vals)) if vals else math.nan
+
+    out["education_type"] = _mode(e.education_type for e in grades)
+    out["study_line"] = _mode(e.study_line for e in grades)
+    out["hs_institution"] = _mode(e.institution_id for e in grades if e.school_stage == "high_school")
+    out["program"] = student.enrolled_program
+    out["enroll_isced"] = enrollment.isced_field if enrollment else None
+    out["cutoff_gpa"] = enrollment.cutoff_gpa if enrollment and enrollment.cutoff_gpa is not None else math.nan
+    out["rank"] = float(enrolled_app.rank) if enrolled_app else math.nan
+    out["quota2_applied"] = float(any(a.quota2_opt_in for a in apps)) if apps else 0.0
+    out["human_decile"] = float(enrolled_app.human_rank_decile) if enrolled_app and enrolled_app.human_rank_decile else math.nan
+
+    out["age"] = socio.age if socio.age is not None else math.nan
+    out["female"] = float(socio.female)
+    out["danish_origin"] = float(socio.danish_origin)
+    for slot in (0, 1):
+        out[f"income{slot + 1}"] = socio.income[slot] if socio.income[slot] is not None else math.nan
+        out[f"wealth{slot + 1}"] = socio.wealth[slot] if socio.wealth[slot] is not None else math.nan
+        out[f"edu_months{slot + 1}"] = socio.edu_months[slot] if socio.edu_months[slot] is not None else math.nan
+        out[f"edu_isced{slot + 1}"] = str(socio.edu_isced[slot]) if socio.edu_isced[slot] is not None else None
+    return out

@@ -394,6 +394,19 @@ def test_minimal_config_hash_is_pinned(tmp_path):
     assert digest == "9158541202bd3290b494b793b73f94c1e81a9fea85823e1eb451ace47aa69562"
 
 
+def test_editing_a_resolved_config_leaves_the_defaults_alone(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"version": 1}', encoding="utf-8")
+    first = cli.load_config(str(path))
+    digest = cli.config_hash(first)
+    first["evaluation"]["fractions"].append(0.3)
+    first["model"]["params"]["C"] = 5.0
+    again = cli.load_config(str(path))
+    assert again["evaluation"]["fractions"] == [0.1]
+    assert again["model"]["params"] == {}
+    assert cli.config_hash(again) == digest
+
+
 def test_predict_refuses_reordered_sequence_rows(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "run.json",

@@ -23,17 +23,20 @@ from admitsim.models import (
     TransformerConfig,
     build_risk_table,
     draw_candidates,
+    features,
     featurize,
     fit_feature_schema,
     random_search_cv,
     train_gbt,
     train_logreg,
 )
-from admitsim.models.gbt import _build_tree
+from admitsim.models.gbt import _build_tree, _value_codes
 from admitsim.models.search import fit_tabular
 from admitsim.policy import auc
 from admitsim.seqenc import VARIANTS, build_vocabulary, compute_L, fit_binning_rules, sequence_lengths
 from admitsim._seeds import substream
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,22 @@ def test_course_mean_column():
     schema = _schema_from([s])
     x, _, _ = featurize([s], schema)
     assert x[0, schema.column_names.index("course_mean:mathematics")] == 9.5
+
+
+def test_features_match_the_numpy_reference(cohort, monkeypatch):
+    # nine grades in one field/stage cell take numpy's pairwise standard deviation,
+    # which for these grades differs in the last bit from an in-order sum
+    many = [_grade(course="mathematics", grade=g) for g in (2, 0, 10, 0, 12, 4, 2, -3, 4)]
+    students = list(cohort.students[:300]) + [_student(sid=99_999, events=many + [_grade(grade=4)])]
+    schema = _schema_from(students, "everything")
+    x, ids, y = featurize(students, schema)
+    monkeypatch.setattr(features, "raw_features", oracles.raw_features)
+    ref_schema = _schema_from(students, "everything")
+    ref_x, ref_ids, ref_y = featurize(students, ref_schema)
+    assert schema == ref_schema
+    assert np.array_equal(x, ref_x, equal_nan=True)
+    assert np.array_equal(ids, ref_ids) and np.array_equal(y, ref_y)
+    assert x[-1, schema.column_names.index("stem_high_school_count")] == 9.0
 
 
 def test_unseen_nominal_gives_zero_block(cohort):
@@ -299,7 +318,10 @@ def test_leaf_value_formula():
     xs = np.zeros((2, 1))
     g = np.array([2.0, 2.0])
     h = np.array([1.0, 1.0])
-    tree = _build_tree(xs, g, h, np.array([0]), max_depth=2, lam=1.0, alpha=1.0, learning_rate=1.0)
+    codes, values = _value_codes(xs)
+    tree = _build_tree(
+        xs, codes, values, np.arange(2), g, h, np.array([0]), max_depth=2, lam=1.0, alpha=1.0, learning_rate=1.0
+    )
     leaf = tree.value[0]
     assert leaf == pytest.approx(-1.0)
     # the analytic leaf minimizes g*v + (h + lam) v^2 / 2 + alpha |v|
@@ -338,6 +360,86 @@ def test_tie_breaks_to_lowest_feature_and_threshold():
     y = (base > 0).astype(np.int64)
     model = train_gbt(x, y, n_estimators=1, max_depth=1)
     assert model.trees[0].feature[0] == 0
+
+
+def test_missing_direction_tie_goes_left():
+    # with no NaN in a node both directions gain the same, and the tie goes left
+    x, y = _blob(n=400, d=5, informative=(1.0, -0.7, 0.5, 0.3, 0.0))
+    model = train_gbt(x, y, n_estimators=10, learning_rate=0.3, max_depth=3)
+    for tree in model.trees:
+        internal = tree.feature >= 0
+        assert internal.sum() > 1
+        assert tree.nan_left[internal].all()
+        node = 0
+        while tree.feature[node] >= 0:
+            node = tree.left[node]
+        assert tree.predict(np.full((1, 5), np.nan))[0] == tree.value[node]
+
+
+def _split_matrix(seed):
+    """16 rows: tied small integers, NaNs, a binary and a constant column, balanced labels."""
+    rng = substream(seed, "split-oracle")
+    n = 16
+    with_nan = rng.integers(0, 5, n).astype(np.float64)
+    with_nan[rng.random(n) < 0.3] = np.nan
+    x = np.column_stack(
+        [
+            rng.integers(0, 4, n),
+            with_nan,
+            rng.integers(0, 2, n),
+            np.full(n, 3.0),
+            rng.integers(0, 8, n) * 0.25,
+        ]
+    ).astype(np.float64)
+    y = rng.permutation(np.repeat([0, 1], n // 2))
+    return x, y
+
+
+def _oracle_node(x, g, h, lam, alpha):
+    # well separated: every candidate ties the best exactly or trails it clearly
+    cands = oracles.split_candidates(x, g, h, lam, alpha)
+    best = oracles.best_split(x, g, h, lam, alpha)
+    if best is not None:
+        assert all(c[0] == best[0] or c[0] < best[0] - 1e-9 for c in cands)
+    return best
+
+
+def _check_against_oracle(x, y, depth, alpha):
+    model = train_gbt(x, y, n_estimators=1, learning_rate=1.0, max_depth=depth, reg_lambda=1.0, reg_alpha=alpha)
+    tree = model.trees[0]
+    # balanced labels start every row at p = 0.5, so g = 0.5 - y and h = 0.25 sum exactly
+    g = 0.5 - y
+    h = np.full(len(y), 0.25)
+    nodes = [(0, np.arange(len(y)), depth)]
+    while nodes:
+        node, rows, left_depth = nodes.pop()
+        best = _oracle_node(x[rows], g[rows], h[rows], 1.0, alpha) if left_depth else None
+        if best is None:
+            assert tree.feature[node] == -1
+            continue
+        _, feat, thr, nan_left = best
+        assert (tree.feature[node], tree.threshold[node], bool(tree.nan_left[node])) == (feat, thr, nan_left)
+        v = x[rows, feat]
+        go_left = np.where(np.isnan(v), nan_left, v < thr)
+        nodes.append((tree.left[node], rows[go_left], left_depth - 1))
+        nodes.append((tree.right[node], rows[~go_left], left_depth - 1))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("seed", range(6))
+def test_split_choice_matches_brute_force(seed, alpha, depth):
+    x, y = _split_matrix(seed)
+    _check_against_oracle(x, y, depth, alpha)
+
+
+def test_threshold_tie_goes_to_the_lowest():
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([1, 0, 0, 1])
+    cands = oracles.split_candidates(x, 0.5 - y, np.full(4, 0.25), 1.0, 0.0)
+    top = max(c[0] for c in cands)
+    assert sorted({c[2] for c in cands if c[0] == top}) == [0.5, 2.5]
+    _check_against_oracle(x, y, 1, 0.0)
 
 
 def test_deeper_fits_interactions():
