@@ -44,11 +44,12 @@ def _std(vals: list[int]) -> float:
     """``np.std`` of integer grades, bit for bit, without numpy for small lists.
 
     The integer sum is exact, so the mean is the correctly rounded quotient
-    either way.  numpy sums up to 8 squared deviations in order, so the loop
-    below repeats its rounding (``sum`` would not: from Python 3.12 it
-    compensates float rounding); longer lists go to numpy's pairwise sum.
+    either way.  numpy adds fewer than 8 squared deviations in order, so the
+    loop below repeats its rounding (``sum`` would not: from Python 3.12 it
+    compensates float rounding); from 8 on numpy sums in 8 interleaved
+    partial sums, so those lists go to ``np.std``.
     """
-    if len(vals) > 8:
+    if len(vals) >= 8:
         return float(np.std(vals))
     mean = sum(vals) / len(vals)
     ss = 0.0

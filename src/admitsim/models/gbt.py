@@ -12,13 +12,15 @@ leaves the same way it does in the usual boosting libraries:
 Split finding is exact greedy with sparsity-aware missing values (Chen &
 Guestrin 2016).  ``train_gbt`` codes each column once per fit: a value's
 code is its index among the column's sorted distinct values, and NaN gets
-the code after the last.  At each depth, per column, ``np.bincount`` over
-(frontier node, code) gives the gradient sum, hessian sum and row count of
-every code in every node; a cumulative sum over the codes present in a node
-then scores every cut between two adjacent present values, exactly the
-partitions a sort of the node's rows would give.  The threshold is the
-midpoint of the two values, and rows are routed with the same
-``value < threshold`` comparison that prediction uses.
+the code after the last.  At each depth, per column, the (frontier node,
+code) pairs present among the rows are listed in order, by a table over
+all pairs while it is small and by a sort of the rows' pairs once it is
+not, and ``np.bincount`` gives each pair's gradient and hessian sums.  A
+cumulative sum over a node's present codes then scores every cut between
+two adjacent present values, exactly the partitions a sort of the node's
+rows would give.  The threshold is the midpoint of the two values, and rows
+are routed with the same ``value < threshold`` comparison that prediction
+uses.
 
 Missing values learn a default direction per split by trying both sides.
 Tie-breaking is deterministic: the lowest feature index wins, then the
@@ -129,6 +131,12 @@ class GBTModel:
         )
 
 
+# A table over every (frontier node, code) pair of a column is filled only
+# while it has at most this many cells per live row; otherwise the rows'
+# pairs are sorted.  Either way the work stays proportional to the rows.
+_DENSE_PAIRS_PER_ROW = 2
+
+
 def _value_codes(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per column, each row's index among the column's sorted distinct values.
 
@@ -195,20 +203,33 @@ def _build_tree(
             u = values[col]
             width = u.size + 1
             key = k * width + codes[col, rows_live]
-            count = np.bincount(key, minlength=nf * width).reshape(nf, width)
-            sum_g = np.bincount(key, g_live, nf * width).reshape(nf, width)
-            sum_h = np.bincount(key, h_live, nf * width).reshape(nf, width)
-            # present finite codes in (node, code) order; a candidate cuts
-            # between one and the next present code of the same node
-            at_n, at_c = np.nonzero(count[:, :-1])
-            cand = np.flatnonzero(at_n[:-1] == at_n[1:])
+            # the (node, code) pairs present, in order, and each row's pair
+            if nf * width <= _DENSE_PAIRS_PER_ROW * key.size:
+                seen = np.bincount(key, minlength=nf * width) > 0
+                pair = np.flatnonzero(seen)
+                of_row = (np.cumsum(seen) - 1)[key]
+            else:
+                pair, of_row = np.unique(key, return_inverse=True)
+            sum_g = np.bincount(of_row, g_live)
+            sum_h = np.bincount(of_row, h_live)
+            pn, pc = np.divmod(pair, width)
+            nan = pc == u.size
+            nan_g = np.zeros(nf)
+            nan_h = np.zeros(nf)
+            nan_g[pn[nan]] = sum_g[nan]
+            nan_h[pn[nan]] = sum_h[nan]
+            fin = ~nan
+            pn, pc, cg, ch = pn[fin], pc[fin], np.cumsum(sum_g[fin]), np.cumsum(sum_h[fin])
+            # a candidate cuts between one and the next present value of a node
+            cand = np.flatnonzero(pn[:-1] == pn[1:])
             if cand.size == 0:
                 continue
-            cn, cc = at_n[cand], at_c[cand]
-            gl_fin = np.cumsum(sum_g[:, :-1], axis=1)[cn, cc]
-            hl_fin = np.cumsum(sum_h[:, :-1], axis=1)[cn, cc]
-            nan_g = sum_g[cn, -1]
-            nan_h = sum_h[cn, -1]
+            cn = pn[cand]
+            before = np.searchsorted(pn, cn) - 1  # last entry of the nodes before
+            gl_fin = cg[cand] - np.where(before >= 0, cg[before], 0.0)
+            hl_fin = ch[cand] - np.where(before >= 0, ch[before], 0.0)
+            nan_g = nan_g[cn]
+            nan_h = nan_h[cn]
             pg = par_g[cn]
             ph = par_h[cn]
 
@@ -231,7 +252,7 @@ def _build_tree(
             node = cn[picks]
             best_gain[node] = gain[picks]
             best_feat[node] = j
-            best_thr[node] = 0.5 * (u[cc[picks]] + u[at_c[cand[picks] + 1]])
+            best_thr[node] = 0.5 * (u[pc[cand[picks]]] + u[pc[cand[picks] + 1]])
             best_nl[node] = to_left[picks]
             best_gl[node] = gl_fin[picks] + np.where(to_left[picks], nan_g[picks], 0.0)
             best_hl[node] = hl_fin[picks] + np.where(to_left[picks], nan_h[picks], 0.0)

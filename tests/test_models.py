@@ -30,6 +30,7 @@ from admitsim.models import (
     train_gbt,
     train_logreg,
 )
+from admitsim.models import gbt as gbt_module
 from admitsim.models.gbt import _build_tree, _value_codes
 from admitsim.models.search import fit_tabular
 from admitsim.policy import auc
@@ -129,7 +130,12 @@ def test_features_match_the_numpy_reference(cohort, monkeypatch):
     # nine grades in one field/stage cell take numpy's pairwise standard deviation,
     # which for these grades differs in the last bit from an in-order sum
     many = [_grade(course="mathematics", grade=g) for g in (2, 0, 10, 0, 12, 4, 2, -3, 4)]
-    students = list(cohort.students[:300]) + [_student(sid=99_999, events=many + [_grade(grade=4)])]
+    # eight grades, where numpy switches from an in-order sum to partial sums
+    eight = [_grade(course="danish", grade=g) for g in (7, 2, 12, 0, 10, -3, 4, 7)]
+    students = list(cohort.students[:300]) + [
+        _student(sid=99_999, events=many + [_grade(grade=4)]),
+        _student(sid=99_998, events=eight + [_grade(course="danish", stage="primary", grade=4)]),
+    ]
     schema = _schema_from(students, "everything")
     x, ids, y = featurize(students, schema)
     monkeypatch.setattr(features, "raw_features", oracles.raw_features)
@@ -138,7 +144,8 @@ def test_features_match_the_numpy_reference(cohort, monkeypatch):
     assert schema == ref_schema
     assert np.array_equal(x, ref_x, equal_nan=True)
     assert np.array_equal(ids, ref_ids) and np.array_equal(y, ref_y)
-    assert x[-1, schema.column_names.index("stem_high_school_count")] == 9.0
+    assert x[-2, schema.column_names.index("stem_high_school_count")] == 9.0
+    assert x[-1, schema.column_names.index("language_high_school_count")] == 8.0
 
 
 def test_unseen_nominal_gives_zero_block(cohort):
@@ -440,6 +447,19 @@ def test_threshold_tie_goes_to_the_lowest():
     top = max(c[0] for c in cands)
     assert sorted({c[2] for c in cands if c[0] == top}) == [0.5, 2.5]
     _check_against_oracle(x, y, 1, 0.0)
+
+
+def test_pair_table_and_pair_sort_grow_the_same_trees(monkeypatch):
+    # the split search lists a column's (node, code) pairs from a table or by a sort
+    x, y = _blob(n=300, d=5, informative=(1.0, -0.7, 0.5, 0.3, 0.0))
+    x[::7, 1] = np.nan
+    x[:, 2] = np.round(x[:, 2])
+    fits = []
+    for per_row in (0, 10**12):
+        monkeypatch.setattr(gbt_module, "_DENSE_PAIRS_PER_ROW", per_row)
+        fits.append(train_gbt(x, y, n_estimators=5, max_depth=6, subsample=0.7, seed=3).to_dict())
+    assert json.dumps(fits[0]) == json.dumps(fits[1])  # leaf thresholds are NaN
+    assert max(t["feature"].count(-1) for t in fits[0]["trees"]) > 16  # deep enough for large tables
 
 
 def test_deeper_fits_interactions():
