@@ -628,21 +628,34 @@ def validation_split(train: Cohort, fraction: float = 0.05, seed: int = 0) -> tu
 
 
 # ---------------------------------------------------------------------------
-# serialization: versioned line-oriented JSON, one student per line
+# serialization: versioned line-oriented JSON, one student per line.  Each
+# record maps field names to values and is written with sorted keys, so its
+# bytes depend on the field values alone: save -> load -> save is
+# byte-identical, and the tests pin the digest of a small cohort.
 
 _HEADER = "admitsim-cohort v1"
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+_STUDENT_FIELDS = _field_names(Student)
+_SOCIO_FIELDS = _field_names(SocioRecord)
+_EVENT_FIELDS = {
+    GradeEvent: ("grade", _field_names(GradeEvent)),
+    ApplicationEvent: ("application", _field_names(ApplicationEvent)),
+    EnrollmentEvent: ("enrollment", _field_names(EnrollmentEvent)),
+}
+
+
 def _event_to_dict(event) -> dict:
-    if isinstance(event, GradeEvent):
-        d = {"kind": "grade"}
-    elif isinstance(event, ApplicationEvent):
-        d = {"kind": "application"}
-    elif isinstance(event, EnrollmentEvent):
-        d = {"kind": "enrollment"}
-    else:
-        raise TypeError(f"unknown event type {type(event).__name__}")
-    d.update(dataclasses.asdict(event))
+    try:
+        kind, names = _EVENT_FIELDS[type(event)]
+    except KeyError:
+        raise TypeError(f"unknown event type {type(event).__name__}") from None
+    d = {name: getattr(event, name) for name in names}
+    d["kind"] = kind
     return d
 
 
@@ -658,7 +671,8 @@ def _event_from_dict(d: dict):
 
 
 def _student_to_dict(s: Student) -> dict:
-    d = dataclasses.asdict(s)
+    d = {name: getattr(s, name) for name in _STUDENT_FIELDS}
+    d["sociodemo"] = {name: getattr(s.sociodemo, name) for name in _SOCIO_FIELDS}
     d["events"] = [_event_to_dict(e) for e in s.events]
     return d
 
@@ -686,29 +700,30 @@ def save_cohort(cohort: Cohort, path) -> None:
 
 
 def load_cohort(path) -> Cohort:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if text == "":
-        return Cohort(students=[], programs={}, meta={})
-    lines = text.splitlines()
-    if lines[0] != _HEADER:
-        raise ValueError(f"line 1: expected header {_HEADER!r}")
-    if len(lines) < 2:
-        raise ValueError("line 2: missing program/meta record")
-    try:
-        head = json.loads(lines[1])
-        programs = {p["program_id"]: Program(**p) for p in head["programs"]}
-        meta = head["meta"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"line 2: malformed program/meta record: {exc}") from exc
-    students = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
+    """Read a cohort file line by line; a malformed line raises ValueError naming it."""
+    with Path(path).open(encoding="utf-8") as fh:
+        header = fh.readline()
+        if header == "":
+            return Cohort(students=[], programs={}, meta={})
+        if header.rstrip("\n") != _HEADER:
+            raise ValueError(f"line 1: expected header {_HEADER!r}")
+        head_line = fh.readline()
+        if head_line == "":
+            raise ValueError("line 2: missing program/meta record")
         try:
-            students.append(_student_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: malformed student record: {exc}") from exc
+            head = json.loads(head_line)
+            programs = {p["program_id"]: Program(**p) for p in head["programs"]}
+            meta = head["meta"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"line 2: malformed program/meta record: {exc}") from exc
+        students = []
+        for lineno, line in enumerate(fh, start=3):
+            if not line.strip():
+                continue
+            try:
+                students.append(_student_from_dict(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"line {lineno}: malformed student record: {exc}") from exc
     return Cohort(students=students, programs=programs, meta=meta)
 
 

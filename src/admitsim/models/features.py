@@ -222,27 +222,18 @@ def featurize(students: Sequence[Student] | Cohort, schema: FeatureSchema) -> tu
     y = np.empty(n, dtype=np.int64)
     for i, s in enumerate(students):
         raw = raw_features(s)
-        col = 0
-        for name in schema.continuous:
-            x[i, col] = raw.get(name, math.nan)
-            col += 1
-        for name in schema.binary:
-            x[i, col] = raw.get(name, 0.0)
-            col += 1
+        row = [raw.get(name, math.nan) for name in schema.continuous]
+        row += [raw.get(name, 0.0) for name in schema.binary]
         for name, cats in schema.ordinals.items():
             v = raw.get(name, math.nan)
             if schema.expand_ordinals:
-                for c in cats:
-                    x[i, col] = 1.0 if (not math.isnan(v) and v == c) else 0.0
-                    col += 1
+                row += [1.0 if (not math.isnan(v) and v == c) else 0.0 for c in cats]
             else:
-                x[i, col] = v
-                col += 1
+                row.append(v)
         for name, cats in schema.nominals.items():
             v = raw.get(name)
-            for c in cats:
-                x[i, col] = 1.0 if v == c else 0.0
-                col += 1
+            row += [1.0 if v == c else 0.0 for c in cats]
+        x[i] = row
         ids[i] = s.id
         y[i] = int(s.completed)
     return x, ids, y

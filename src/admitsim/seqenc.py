@@ -10,6 +10,7 @@ percentile bins learned on training data.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import struct
@@ -140,8 +141,8 @@ def fit_binning(values, n_bins: int = 100) -> BinningRule:
 
 
 def apply_binning(rule: BinningRule, value: float) -> int:
-    v = min(max(value, rule.lo), rule.hi)
-    return int(np.searchsorted(np.asarray(rule.cuts), v, side="right"))
+    # the index np.searchsorted(cuts, v, side="right") gives, NaN included
+    return bisect.bisect_right(rule.cuts, min(max(value, rule.lo), rule.hi))
 
 
 def fit_binning_rules(cohort: Cohort) -> dict[str, BinningRule]:
@@ -361,16 +362,15 @@ def encode_student(
         else:
             rows = rows[:n_socio] + (non_socio[len(non_socio) - keep :] if keep else [])
 
+    index = vocab.index
     grid = np.full((len(channels), L), PAD, dtype=np.int32)
-    for c, ch in enumerate(channels):
-        grid[c, 0] = CLS if ch == "cls" else NULL
-    for pos, row in enumerate(rows, start=1):
-        for c, ch in enumerate(channels):
-            if ch == "cls":
-                grid[c, pos] = NULL
-            else:
-                tok = row.get(ch)
-                grid[c, pos] = NULL if tok is None else vocab.id_for(ch, tok)
+    grid[:, 0] = [CLS if ch == "cls" else NULL for ch in channels]
+    grid[:, 1 : 1 + len(rows)] = [
+        [NULL] * len(rows)
+        if ch == "cls"
+        else [NULL if (tok := row.get(ch)) is None else index.get(f"{ch}:{tok}", UNK) for row in rows]
+        for ch in channels
+    ]
     return grid
 
 

@@ -4,7 +4,8 @@ Everything here is written for clarity over speed and stays independent of
 the fast paths it checks: direct series summation, pairwise concordance counts,
 fine-grid quadrature, brute-force scans, an LSTM unrolled into one
 autograd node per elementary operation and time step, a split finder that
-tries every cut of one node, and the numpy-reduction feature extractor.
+tries every cut of one node, the numpy-reduction feature extractor, and a
+token grid written one cell at a time.
 """
 
 from __future__ import annotations
@@ -235,3 +236,38 @@ def raw_features(student) -> dict:
         out[f"edu_months{slot + 1}"] = socio.edu_months[slot] if socio.edu_months[slot] is not None else math.nan
         out[f"edu_isced{slot + 1}"] = str(socio.edu_isced[slot]) if socio.edu_isced[slot] is not None else None
     return out
+
+
+def encode_student(student, vocab, rules, L: int) -> np.ndarray:
+    """(C, L) grid of vocabulary indices for one student, one cell at a time."""
+    import warnings
+
+    from admitsim.seqenc import CLS, NULL, PAD, event_tokens
+
+    channels = vocab.channels
+    rows = event_tokens(student, vocab.variant, rules)
+    if not rows:
+        warnings.warn(f"student {student.id}: no events after variant filtering", stacklevel=2)
+
+    n_socio = sum(1 for r in rows if "sociodemo" in r)
+    body = L - 1
+    if len(rows) > body:
+        # drop the oldest non-sociodemographic events
+        non_socio = rows[n_socio:]
+        keep = body - n_socio
+        if keep < 0:
+            rows = rows[:body]
+        else:
+            rows = rows[:n_socio] + (non_socio[len(non_socio) - keep :] if keep else [])
+
+    grid = np.full((len(channels), L), PAD, dtype=np.int32)
+    for c, ch in enumerate(channels):
+        grid[c, 0] = CLS if ch == "cls" else NULL
+    for pos, row in enumerate(rows, start=1):
+        for c, ch in enumerate(channels):
+            if ch == "cls":
+                grid[c, pos] = NULL
+            else:
+                tok = row.get(ch)
+                grid[c, pos] = NULL if tok is None else vocab.id_for(ch, tok)
+    return grid

@@ -1,5 +1,8 @@
 """Generator calibration, splits, serialization, and planted-model checks."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,48 @@ def test_round_trip(tmp_path, cohort):
     assert loaded.students == small.students
     assert loaded.programs == small.programs
     assert loaded.meta == small.meta
+
+
+# sha256 of save_cohort's output for the 40-student cohort of seed 5.  Every
+# cohort.jsonl and run-directory manifest depends on these bytes, so a change
+# to the serialized format must change this digest on purpose.
+COHORT_40_SEED_5_SHA256 = "bf19e7f597bfc3d76335af781b2d2cde220c46fb91fb98a495a2197ed99dd680"
+
+
+def test_saved_bytes_are_pinned_and_survive_a_round_trip(tmp_path):
+    first = tmp_path / "first.jsonl"
+    save_cohort(generate_cohort(GeneratorConfig(n_students=40), seed=5), first)
+    data = first.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == COHORT_40_SEED_5_SHA256
+    again = tmp_path / "again.jsonl"
+    save_cohort(load_cohort(first), again)
+    assert again.read_bytes() == data
+
+
+def test_load_names_the_line_of_an_invalid_student(tmp_path, cohort):
+    path = tmp_path / "cohort.jsonl"
+    save_cohort(Cohort(students=cohort.students[:8], programs=cohort.programs, meta=cohort.meta), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def off_scale(d):
+        grade = next(e for e in d["events"] if e["kind"] == "grade")
+        grade["grade"] = 5
+
+    def unknown_kind(d):
+        d["events"][0]["kind"] = "transfer"
+
+    def missing_field(d):
+        del d["cohort_year"]
+
+    # line numbers count the header and the program/meta line
+    for lineno, corrupt, message in ((4, off_scale, "7-step scale"), (7, unknown_kind, "unknown event kind"),
+                                     (10, missing_field, "cohort_year")):
+        record = json.loads(lines[lineno - 1])
+        corrupt(record)
+        bad = tmp_path / f"bad-{lineno}.jsonl"
+        bad.write_text("".join(lines[: lineno - 1] + [json.dumps(record) + "\n"] + lines[lineno:]), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {lineno}: malformed student record: .*{message}"):
+            load_cohort(bad)
 
 
 def test_load_errors(tmp_path):

@@ -1,5 +1,8 @@
 """Encoder tests: binning, vocabulary thresholds, grid layout, alignment fuzz."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from admitsim.seqenc import (
     UNK,
     SPECIALS,
     VARIANTS,
+    BinningRule,
     TokenSequenceBatch,
     Vocabulary,
     apply_binning,
@@ -32,6 +36,7 @@ from admitsim.seqenc import (
     fit_binning_rules,
     sequence_lengths,
 )
+from oracles import encode_student as encode_student_by_cell
 
 
 def make_socio():
@@ -111,6 +116,22 @@ def test_binning_constant_and_short():
     assert apply_binning(rule, -10) == apply_binning(rule, 99) == 0
     with pytest.raises(ValueError):
         fit_binning(np.arange(10))
+
+
+def test_binning_matches_searchsorted():
+    rng = np.random.default_rng(3)
+    # one decimal place repeats cut values; lognormal draws do not
+    repeated = fit_binning(np.round(rng.normal(7.0, 2.3, size=600), 1))
+    assert len(set(repeated.cuts)) < len(repeated.cuts)
+    rules = (repeated, fit_binning(rng.lognormal(12.0, 1.0, size=600)), BinningRule(lo=3.3, hi=3.3, cuts=()))
+    for rule in rules:
+        cuts = np.asarray(rule.cuts, dtype=float)
+        probes = [rule.lo, rule.hi, rule.lo - 1.0, rule.hi + 1.0, -math.inf, math.inf]
+        for c in rule.cuts:
+            probes += [c, float(np.nextafter(c, -math.inf)), float(np.nextafter(c, math.inf))]
+        for v in probes:
+            want = int(np.searchsorted(cuts, min(max(v, rule.lo), rule.hi), side="right"))
+            assert apply_binning(rule, v) == want, (rule.n_bins, v)
 
 
 def test_compute_l():
@@ -224,6 +245,42 @@ def test_unknown_category_maps_to_unk():
     novel = make_student([make_grade(2011, course="quantum_basketweaving")])
     grid = encode_student(novel, vocab, {}, L=4)
     assert grid[vocab.channels.index("course"), 1] == UNK
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_grid_matches_cell_by_cell_oracle(variant):
+    cohort = generate_cohort(GeneratorConfig(n_students=150), seed=29)
+    rules = fit_binning_rules(cohort)
+    vocab = build_vocabulary(cohort, variant, min_count=20, rules=rules)
+    L = compute_L(sequence_lengths(cohort, variant, rules))
+    novel = make_student(
+        [
+            make_grade(2011, course="quantum_basketweaving"),
+            ApplicationEvent("p999", "space", rank=1, quota2_opt_in=False),
+            EnrollmentEvent(2012, "p999", "space", 6.5),
+        ],
+        enrolled="p999",
+    )
+    empty = make_student([])
+    truncated = unknown = no_rows = 0
+    for s in cohort.students + [novel, empty]:
+        n_rows = len(event_tokens(s, variant, rules))
+        for length in (L, 4, 2):
+            with warnings.catch_warnings(record=True) as got_warned:
+                warnings.simplefilter("always")
+                got = encode_student(s, vocab, rules, length)
+            with warnings.catch_warnings(record=True) as want_warned:
+                warnings.simplefilter("always")
+                want = encode_student_by_cell(s, vocab, rules, length)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+            truncated += n_rows > length - 1
+            unknown += bool((want == UNK).any())
+        no_rows += n_rows == 0
+    assert truncated and unknown
+    # sociodemographic rows and the baseline's GPA row are never empty
+    assert no_rows == (variant in ("academic", "human", "application"))
 
 
 @pytest.fixture(scope="module")
