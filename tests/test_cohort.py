@@ -208,6 +208,30 @@ def test_saved_bytes_are_pinned_and_survive_a_round_trip(tmp_path):
     assert again.read_bytes() == data
 
 
+# sha256 of save_cohort's output on configs that reach the generator's edge
+# cases: a student count past one grade-event block and not a multiple of it,
+# an empty study-line affinity pool (one program), more applications than the
+# pool holds (three programs), the six-event floor on high-school grades, a
+# single admission year (no earlier training year), and a lone student.  The
+# generator's random stream and arithmetic must keep these bytes.
+@pytest.mark.parametrize(
+    "overrides, seed, digest",
+    [
+        ({"n_students": 2500}, 11, "339e34b95428e98c67716ea4f1d9e14c3e49265561e9becae75cecaf3cd9d40a"),
+        ({"n_students": 300, "n_programs": 1}, 3, "189930871ec9bb2076ec0ea700e5189ecb6b88f654e173b5df27c17cc428365c"),
+        ({"n_students": 300, "n_programs": 3}, 4, "faa0ec6dec937973df405aa7bb12104924dfa1d1b68b975586aed64ad8c9eb70"),
+        ({"n_students": 300, "mean_grade_events": 6}, 5, "b021b728fe184877ec058b96d83e162d512e6c3a7e22c0d473da89e275d83483"),
+        ({"n_students": 300, "start_year": 2010, "end_year": 2010}, 6, "41ce49ecddd35635e0c4b9e0892a75ad15f9836d719c6969b0410601952b9c94"),
+        ({"n_students": 1}, 7, "5eec435d10cea9fe28800ba5c7929af28919e652876c064124d31565b32cddbc"),
+    ],
+    ids=["2500-students", "one-program", "three-programs", "six-events", "single-year", "one-student"],
+)
+def test_generator_bytes_are_pinned(tmp_path, overrides, seed, digest):
+    path = tmp_path / "cohort.jsonl"
+    save_cohort(generate_cohort(GeneratorConfig(**overrides), seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_load_names_the_line_of_an_invalid_student(tmp_path, cohort):
     path = tmp_path / "cohort.jsonl"
     save_cohort(Cohort(students=cohort.students[:8], programs=cohort.programs, meta=cohort.meta), path)
