@@ -262,12 +262,32 @@ _LINE_FIELD_WEIGHTS = {
 }
 
 
-def _course_probs(line: str) -> np.ndarray:
+def _course_cdf(line: str) -> np.ndarray:
+    """Cumulative course draw weights of a study line.
+
+    Normalised the way numpy's ``Generator.choice`` normalises ``p``, so
+    ``cdf.searchsorted(rng.random(k), side="right")`` picks the courses that
+    ``rng.choice(len(_COURSES), size=k, p=p)`` picks from the same stream.
+    """
     w = _LINE_FIELD_WEIGHTS[line]
     per_course = np.array([w[f] for f in _COURSE_FIELD], dtype=float)
     counts = np.bincount(_COURSE_FIELD, minlength=3)
     per_course /= counts[_COURSE_FIELD]
-    return per_course / per_course.sum()
+    cdf = (per_course / per_course.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_COURSE_CDFS = tuple(_course_cdf(line) for line in STUDY_LINES)
+# position of each course in name order, the tie-break of the event sort
+_COURSE_RANK = np.array([sorted(_COURSES).index(c) for c in _COURSES])
+# object arrays of the event field values, so fancy indexing yields str columns
+_COURSE_NAMES = np.array(_COURSES, dtype=object)
+_LEVEL_NAMES = np.array(COURSE_LEVELS, dtype=object)
+_TEST_NAMES = np.array(TEST_TYPES, dtype=object)
+_EDU_NAMES = np.array(EDUCATION_TYPES, dtype=object)
+_LINE_NAMES = np.array(STUDY_LINES, dtype=object)
+_STAGE_NAMES = np.array(SCHOOL_STAGES, dtype=object)
 
 
 def _nearest_step(values: np.ndarray) -> np.ndarray:
@@ -347,7 +367,164 @@ def _ses_high(parental: np.ndarray) -> np.ndarray:
     return score > np.median(score)
 
 
+# students per block of the grade-event generator: pass 2 holds every array of
+# a block's events at once, so blocks keep its memory independent of n
+_EVENT_BLOCK = 1024
+
+
+def _grade_events(rng, gpa_mean, years, ability, stem_tilt, diligence, lines, edu_types, n_hs, n_prim):
+    """Every student's grade events (sorted by year, then course name) and profile.
+
+    Returns the event lists, the high-school GPA rounded to 2 places, and the
+    stem gap, dispersion and trend over all of a student's grades.  Students
+    go in blocks of ``_EVENT_BLOCK``: pass 1 makes each student's draws in
+    student order, pass 2 turns the block's draws into events without
+    drawing.
+    """
+    n = len(years)
+    n_inst = (max(2, n // 400), max(2, n // 250))  # high schools, primary schools
+    events: list[list[GradeEvent]] = []
+    gpa: list[float] = []
+    profile = np.empty((3, n))
+    for lo in range(0, n, _EVENT_BLOCK):
+        b = slice(lo, lo + _EVENT_BLOCK)
+        draws = _draw_block(rng, years[b], n_hs[b], n_prim[b], n_inst)
+        block_events, block_gpa, profile[:, b] = _block_events(
+            draws, gpa_mean, years[b], ability[b], stem_tilt[b], diligence[b], lines[b], edu_types[b], n_hs[b], n_prim[b]
+        )
+        events.extend(block_events)
+        gpa.extend(block_gpa)
+    return events, np.array(gpa), *profile
+
+
+def _draw_block(rng, years, n_hs, n_prim, n_inst):
+    """Pass 1: the block's grade-event draws, student by student in the order
+    ``generate_cohort`` documents.
+
+    Returns each kind of draw concatenated over the block, and the schools
+    as an object array with one (primary, high-school) id row per student.
+    """
+    uniforms, hs_years, noise, picks, schools = [], [], [], [], []
+    for y, k_hs, k_pr in zip(years.tolist(), n_hs.tolist(), n_prim.tolist()):
+        uniforms.append(rng.random(k_hs + k_pr))
+        hs_years.append(rng.integers(y - 3, y, size=k_hs))
+        noise.append(rng.normal(0.0, 1.9, size=k_hs + k_pr))
+        hs_school = f"hs{rng.integers(n_inst[0]):03d}"
+        schools.append((f"ps{rng.integers(n_inst[1]):03d}", hs_school))
+        picks.append(rng.integers(3, size=k_pr + 2 * k_hs))
+    return (
+        np.concatenate(uniforms),
+        np.concatenate(hs_years),
+        np.concatenate(noise),
+        np.concatenate(picks),
+        np.array(schools, dtype=object),
+    )
+
+
+def _block_events(draws, gpa_mean, years, ability, stem_tilt, diligence, lines, edu_types, n_hs, n_prim):
+    """Pass 2: a block's events, GPA and (stem gap, dispersion, trend), no draws.
+
+    Event-level arrays run over the block's events student by student, each
+    student's primary events first, in the order pass 1 drew them.
+    """
+    uniforms, hs_draws, noise, picks, schools = draws
+    m = len(years)
+    k = n_hs + n_prim
+    starts = np.cumsum(k) - k
+    sid = np.repeat(np.arange(m), k)  # block student of each event
+    hs = np.arange(len(sid)) - starts[sid] >= n_prim[sid]
+
+    courses = np.empty(len(sid), dtype=np.intp)
+    event_line = lines[sid]
+    for line, cdf in enumerate(_COURSE_CDFS):
+        on = event_line == line
+        courses[on] = cdf.searchsorted(uniforms[on], side="right")
+    fields = _COURSE_FIELD[courses]
+    tilt_dir = np.where(fields == 0, 1.0, np.where(fields == 1, -0.7, 0.1))
+    # high-school events span three years, sorted per student; primary sits two years earlier
+    ev_years = np.repeat(years - 5, k)
+    ev_years[hs] = hs_draws[np.lexsort((hs_draws, sid[hs]))]
+    first = np.minimum.reduceat(ev_years, starts)
+    last = np.maximum.reduceat(ev_years, starts)
+    # quantization to the 7-step grid shifts the mean slightly; offset corrects it
+    center = gpa_mean + 0.08
+    raw = (
+        center
+        + 2.05 * ability[sid]
+        + 1.5 * tilt_dir * stem_tilt[sid]
+        + (0.35 * diligence)[sid] * (ev_years - first[sid])
+        + noise
+    )
+    grades = _nearest_step(raw)
+
+    # grades are whole numbers, so these sums are exact in any order and each
+    # mean has the bits of numpy's mean over the student's own array
+    def seg_mean(mask: np.ndarray) -> np.ndarray:
+        """Mean grade of each student's events under ``mask``; 0 where there are none."""
+        count = np.bincount(sid[mask], minlength=m)
+        return np.bincount(sid[mask], weights=grades[mask], minlength=m) / np.maximum(count, 1)
+
+    overall = np.bincount(sid, weights=grades, minlength=m) / k
+    stem = fields == 0
+    stem_gap = np.where(np.bincount(sid[stem], minlength=m) > 0, seg_mean(stem) - overall, 0.0)
+    trend = np.where(first != last, seg_mean(ev_years == last[sid]) - seg_mean(ev_years == first[sid]), 0.0)
+    # the squared deviations are not whole numbers: numpy's row-wise std sums
+    # each row as np.std of that row alone does, so group students by length
+    dispersion = np.empty(m)
+    for length in np.unique(k).tolist():
+        rows = np.flatnonzero(k == length)
+        dispersion[rows] = grades[starts[rows, None] + np.arange(length)].std(axis=1)
+    gpa = [round(v, 2) for v in seg_mean(hs).tolist()]
+
+    # picks per student: a test type per primary event, then a level and a test type per high-school event
+    n_picks = n_prim + 2 * n_hs
+    pick_sid = np.repeat(np.arange(m), n_picks)
+    past_primary = np.arange(len(picks)) - (np.cumsum(n_picks) - n_picks)[pick_sid] - n_prim[pick_sid]
+    is_level = (past_primary >= 0) & (past_primary % 2 == 0)
+    level = np.full(len(sid), COURSE_LEVELS.index("C"))
+    level[hs] = picks[is_level]
+    test = picks[~is_level]
+
+    order = np.lexsort((_COURSE_RANK[courses], ev_years, sid))
+    stage = hs[order].astype(np.intp)
+    student = sid[order]
+    flat = list(
+        map(
+            GradeEvent,
+            ev_years[order].tolist(),
+            _COURSE_NAMES[courses[order]].tolist(),
+            _LEVEL_NAMES[level[order]].tolist(),
+            _TEST_NAMES[test[order]].tolist(),
+            _EDU_NAMES[edu_types[student]].tolist(),
+            _LINE_NAMES[lines[student]].tolist(),
+            _STAGE_NAMES[stage].tolist(),
+            schools[student, stage].tolist(),
+            grades[order].astype(np.int64).tolist(),
+        )
+    )
+    events = [flat[a:b] for a, b in zip(starts.tolist(), (starts + k).tolist())]
+    return events, gpa, (stem_gap, dispersion, trend)
+
+
 def generate_cohort(config: GeneratorConfig, seed: int) -> Cohort:
+    """Synthetic cohort of ``config.n_students`` students, a pure function of config and seed.
+
+    Every draw comes from the one stream ``substream(seed, "cohort")``, in a
+    fixed order that the cohort's bytes depend on: the program registry;
+    one vector of n per student attribute; each student's grade events;
+    quota-2 opt-in, human scores and human admission; applications, one
+    student after another; completion and first-year GPA; sociodemographics.
+
+    Grade-event draws go student by student.  A student with k_hs
+    high-school and k_pr primary events (k = k_hs + k_pr) draws k uniforms
+    for the courses, k_hs high-school years, k grade noises, a high school, a
+    primary school, and then k_pr + 2*k_hs picks of 0..2: a test type for
+    each primary event, then a level and a test type for each high-school
+    event.  Students are processed in blocks, but a block only batches the
+    arithmetic after its draws: it reorders none of them.  Pinned
+    ``save_cohort`` digests in ``tests/test_cohort.py`` guard this order and
+    the arithmetic that follows it.
+    """
     rng = substream(seed, "cohort")
     n = config.n_students
 
@@ -394,69 +571,10 @@ def generate_cohort(config: GeneratorConfig, seed: int) -> Cohort:
     female = rng.random(n) < config.female_rate
     danish = rng.random(n) < config.danish_rate
 
-    course_probs = {line: _course_probs(line) for line in STUDY_LINES}
-    hs_institutions = max(2, n // 400)
-    prim_institutions = max(2, n // 250)
-
     # grade events; ability drives level, tilt moves stem vs language courses
-    all_events: list[list] = []
-    gpa = np.empty(n)
-    stem_gap = np.empty(n)
-    dispersion = np.empty(n)
-    trend = np.empty(n)
-    # quantization to the 7-step grid shifts the mean slightly; offset corrects it
-    center = config.gpa_mean + 0.08
-    for i in range(n):
-        line = STUDY_LINES[lines[i]]
-        edu = EDUCATION_TYPES[edu_types[i]]
-        k_hs, k_pr = int(n_hs[i]), int(n_prim[i])
-        k = k_hs + k_pr
-        courses = rng.choice(len(_COURSES), size=k, p=course_probs[line])
-        fields_drawn = _COURSE_FIELD[courses]
-        tilt_dir = np.where(fields_drawn == 0, 1.0, np.where(fields_drawn == 1, -0.7, 0.1))
-        improve = 0.35 * diligence[i]
-        # high-school events span three years; primary sits two years earlier
-        hs_years = np.sort(rng.integers(years[i] - 3, years[i], size=k_hs))
-        pr_years = np.full(k_pr, years[i] - 5)
-        ev_years = np.concatenate([pr_years, hs_years])
-        rel = ev_years - ev_years.min()
-        raw = (
-            center
-            + 2.05 * ability[i]
-            + 1.5 * tilt_dir * stem_tilt[i]
-            + improve * rel
-            + rng.normal(0.0, 1.9, size=k)
-        )
-        grades = _nearest_step(raw)
-        hs_inst = f"hs{rng.integers(hs_institutions):03d}"
-        pr_inst = f"ps{rng.integers(prim_institutions):03d}"
-        events = []
-        for j in range(k):
-            primary = j < k_pr
-            events.append(
-                GradeEvent(
-                    year=int(ev_years[j]),
-                    course=_COURSES[courses[j]],
-                    course_level=COURSE_LEVELS[int(rng.integers(3))] if not primary else "C",
-                    test_type=TEST_TYPES[int(rng.integers(3))],
-                    education_type=edu,
-                    study_line=line,
-                    school_stage="primary" if primary else "high_school",
-                    institution_id=pr_inst if primary else hs_inst,
-                    grade=int(grades[j]),
-                )
-            )
-        events.sort(key=lambda e: (e.year, e.course))
-        all_events.append(events)
-        hs_grades = grades[k_pr:]
-        gpa[i] = round(float(hs_grades.mean()), 2)
-        values = grades.astype(float)
-        overall = values.mean()
-        stem_vals = values[fields_drawn == 0]
-        stem_gap[i] = (stem_vals.mean() - overall) if stem_vals.size else 0.0
-        dispersion[i] = values.std()
-        yr_first, yr_last = ev_years.min(), ev_years.max()
-        trend[i] = values[ev_years == yr_last].mean() - values[ev_years == yr_first].mean() if yr_first != yr_last else 0.0
+    events, gpa, stem_gap, dispersion, trend = _grade_events(
+        rng, config.gpa_mean, years, ability, stem_tilt, diligence, lines, edu_types, n_hs, n_prim
+    )
 
     gpa_z = _zscore(gpa)
     stem_z = _zscore(stem_gap)
@@ -476,28 +594,28 @@ def generate_cohort(config: GeneratorConfig, seed: int) -> Cohort:
         decile[opt_idx] = (order * 10 // opt_idx.size) + 1
     cond_rate = min(0.95, config.human_admit_rate / max(opted.mean(), 1e-9))
     human_lin = -0.8 * gpa_z - 0.35 * (decile - 5.5)
-    h0 = _solve_intercept(human_lin[opted], cond_rate)
-    human_admit = opted & (rng.random(n) < 1.0 / (1.0 + np.exp(-(h0 + human_lin))))
+    admit_draw = rng.random(n)  # drawn even when nobody opted in, so later draws keep their place
+    human_admit = np.zeros(n, dtype=bool)
+    if opt_idx.size:
+        h0 = _solve_intercept(human_lin[opted], cond_rate)
+        human_admit = opted & (admit_draw < 1.0 / (1.0 + np.exp(-(h0 + human_lin))))
 
     # program choice: first-choice field from the study line's affinity list
     prog_idx = np.empty(n, dtype=int)
     n_apps = np.minimum(1 + rng.geometric(0.45, size=n), config.max_applications)
     accepted_rank = np.minimum(rng.geometric(0.72, size=n), n_apps)
+    # each line's sorted pool of affinity programs; every program when the line has none
+    pools = []
+    for line in STUDY_LINES:
+        pool = sorted({p for f in _LINE_AFFINITY[line] for p in prog_by_field.get(f, [])})
+        pools.append(np.array(pool) if pool else np.arange(len(prog_ids)))
     app_lists: list[list[int]] = []
-    for i in range(n):
-        affinity = _LINE_AFFINITY[STUDY_LINES[lines[i]]]
-        pool: list[int] = []
-        for f in affinity:
-            pool.extend(prog_by_field.get(f, []))
-        if not pool:
-            pool = list(range(len(prog_ids)))
-        k = min(int(n_apps[i]), len(prog_ids))
-        if k <= len(set(pool)):
-            chosen = rng.choice(sorted(set(pool)), size=k, replace=False)
-        else:
-            chosen = rng.choice(len(prog_ids), size=k, replace=False)
-        app_lists.append([int(c) for c in chosen])
-        prog_idx[i] = app_lists[i][min(int(accepted_rank[i]), k) - 1]
+    for i, (line, apps, accepted) in enumerate(zip(lines.tolist(), n_apps.tolist(), accepted_rank.tolist())):
+        pool = pools[line]
+        k = min(apps, len(prog_ids))
+        chosen = rng.choice(pool if k <= len(pool) else len(prog_ids), size=k, replace=False).tolist()
+        app_lists.append(chosen)
+        prog_idx[i] = chosen[min(accepted, k) - 1]
 
     # planted completion model: logistic in GPA, nonlinear grade profile, program effects
     profile_term = config.stem_weight * np.tanh(stem_z) + config.dispersion_weight * disp_z**2 + config.trend_weight * trend_z
@@ -533,8 +651,15 @@ def generate_cohort(config: GeneratorConfig, seed: int) -> Cohort:
     ses = _ses_high(parental)
 
     def _opt(v: float) -> float | None:
-        return None if math.isnan(v) else round(float(v), 2)
+        return None if math.isnan(v) else round(v, 2)
 
+    # Python scalars from here on: one list per column instead of a numpy scalar per cell
+    gpa, opted, decile, prog_idx, years, human_admit, completed, planted_p, first_year_gpa = (
+        a.tolist() for a in (gpa, opted, decile, prog_idx, years, human_admit, completed, planted_p, first_year_gpa)
+    )
+    age, female, danish, inc1, inc2, wea1, wea2, edu_m1, edu_m2, edu_i1, edu_i2, ses = (
+        a.tolist() for a in (age, female, danish, inc1, inc2, wea1, wea2, edu_m1, edu_m2, edu_i1, edu_i2, ses)
+    )
     students: list[Student] = []
     for i in range(n):
         apps = []
@@ -544,39 +669,39 @@ def generate_cohort(config: GeneratorConfig, seed: int) -> Cohort:
                     program_id=prog_ids[pi],
                     isced_field=programs[prog_ids[pi]].isced_field,
                     rank=r,
-                    quota2_opt_in=bool(opted[i]),
-                    human_rank_decile=int(decile[i]) if opted[i] else None,
+                    quota2_opt_in=opted[i],
+                    human_rank_decile=decile[i] if opted[i] else None,
                 )
             )
         enrolled = programs[prog_ids[prog_idx[i]]]
         enroll_event = EnrollmentEvent(
-            year=int(years[i]),
+            year=years[i],
             program_id=enrolled.program_id,
             isced_field=enrolled.isced_field,
             cutoff_gpa=enrolled.prior_year_gpa_cutoff,
         )
         socio = SocioRecord(
             age=_opt(age[i]),
-            female=bool(female[i]),
-            danish_origin=bool(danish[i]),
+            female=female[i],
+            danish_origin=danish[i],
             income=(_opt(inc1[i]), _opt(inc2[i])),
             wealth=(_opt(wea1[i]), _opt(wea2[i])),
-            edu_isced=(None if math.isnan(edu_m1[i]) else int(edu_i1[i]), None if math.isnan(edu_m2[i]) else int(edu_i2[i])),
+            edu_isced=(None if math.isnan(edu_m1[i]) else edu_i1[i], None if math.isnan(edu_m2[i]) else edu_i2[i]),
             edu_months=(_opt(edu_m1[i]), _opt(edu_m2[i])),
-            ses_high=bool(ses[i]),
+            ses_high=ses[i],
         )
         students.append(
             Student(
                 id=i,
-                gpa=float(gpa[i]),
-                events=all_events[i] + apps + [enroll_event],
+                gpa=gpa[i],
+                events=events[i] + apps + [enroll_event],
                 sociodemo=socio,
                 enrolled_program=enrolled.program_id,
                 admission_quota="human" if human_admit[i] else "gpa",
-                cohort_year=int(years[i]),
-                completed=bool(completed[i]),
-                planted_p=float(planted_p[i]),
-                first_year_gpa=round(float(first_year_gpa[i]), 3),
+                cohort_year=years[i],
+                completed=completed[i],
+                planted_p=planted_p[i],
+                first_year_gpa=round(first_year_gpa[i], 3),
             )
         )
     return Cohort(students=students, programs=programs, meta=meta)

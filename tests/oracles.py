@@ -4,8 +4,9 @@ Everything here is written for clarity over speed and stays independent of
 the fast paths it checks: direct series summation, pairwise concordance counts,
 fine-grid quadrature, brute-force scans, an LSTM unrolled into one
 autograd node per elementary operation and time step, a split finder that
-tries every cut of one node, the numpy-reduction feature extractor, and a
-token grid written one cell at a time.
+tries every cut of one node, the numpy-reduction feature extractor, a
+token grid written one cell at a time, and a grade-event generator that
+draws and builds one student and one event at a time.
 """
 
 from __future__ import annotations
@@ -271,3 +272,79 @@ def encode_student(student, vocab, rules, L: int) -> np.ndarray:
                 tok = row.get(ch)
                 grid[c, pos] = NULL if tok is None else vocab.id_for(ch, tok)
     return grid
+
+
+def grade_events_per_student(rng, gpa_mean, years, ability, stem_tilt, diligence, lines, edu_types, n_hs, n_prim):
+    """Grade events and profiles with one student and one event at a time.
+
+    Draws with ``rng.choice`` over the course probabilities and a scalar
+    ``rng.integers(3)`` per pick, and takes numpy means and standard
+    deviations of each student's own grade array.
+    """
+    from admitsim.cohort import (
+        _LINE_FIELD_WEIGHTS,
+        COURSE_CATALOG,
+        COURSE_LEVELS,
+        EDUCATION_TYPES,
+        GRADE_STEPS,
+        STUDY_LINES,
+        TEST_TYPES,
+        GradeEvent,
+    )
+
+    courses_all = tuple(COURSE_CATALOG)
+    field_of = np.array([("stem", "language", "other").index(COURSE_CATALOG[c]) for c in courses_all])
+    steps = np.array(GRADE_STEPS, dtype=float)
+    mids = (steps[1:] + steps[:-1]) / 2.0
+    probs = {}
+    for line in STUDY_LINES:
+        w = _LINE_FIELD_WEIGHTS[line]
+        per_course = np.array([w[f] for f in field_of], dtype=float)
+        per_course /= np.bincount(field_of, minlength=3)[field_of]
+        probs[line] = per_course / per_course.sum()
+
+    n = len(years)
+    hs_institutions = max(2, n // 400)
+    prim_institutions = max(2, n // 250)
+    all_events, gpa, stem_gap, dispersion, trend = [], np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    center = gpa_mean + 0.08
+    for i in range(n):
+        line = STUDY_LINES[lines[i]]
+        edu = EDUCATION_TYPES[edu_types[i]]
+        k_hs, k_pr = int(n_hs[i]), int(n_prim[i])
+        k = k_hs + k_pr
+        courses = rng.choice(len(courses_all), size=k, p=probs[line])
+        fields_drawn = field_of[courses]
+        tilt_dir = np.where(fields_drawn == 0, 1.0, np.where(fields_drawn == 1, -0.7, 0.1))
+        hs_years = np.sort(rng.integers(years[i] - 3, years[i], size=k_hs))
+        ev_years = np.concatenate([np.full(k_pr, years[i] - 5), hs_years])
+        rel = ev_years - ev_years.min()
+        raw = center + 2.05 * ability[i] + 1.5 * tilt_dir * stem_tilt[i] + 0.35 * diligence[i] * rel + rng.normal(0.0, 1.9, size=k)
+        grades = steps[np.searchsorted(mids, raw)]
+        hs_inst = f"hs{rng.integers(hs_institutions):03d}"
+        pr_inst = f"ps{rng.integers(prim_institutions):03d}"
+        events = []
+        for j in range(k):
+            primary = j < k_pr
+            events.append(
+                GradeEvent(
+                    year=int(ev_years[j]),
+                    course=courses_all[courses[j]],
+                    course_level=COURSE_LEVELS[int(rng.integers(3))] if not primary else "C",
+                    test_type=TEST_TYPES[int(rng.integers(3))],
+                    education_type=edu,
+                    study_line=line,
+                    school_stage="primary" if primary else "high_school",
+                    institution_id=pr_inst if primary else hs_inst,
+                    grade=int(grades[j]),
+                )
+            )
+        events.sort(key=lambda e: (e.year, e.course))
+        all_events.append(events)
+        gpa[i] = round(float(grades[k_pr:].mean()), 2)
+        stem_vals = grades[fields_drawn == 0]
+        stem_gap[i] = (stem_vals.mean() - grades.mean()) if stem_vals.size else 0.0
+        dispersion[i] = grades.std()
+        first, last = ev_years.min(), ev_years.max()
+        trend[i] = grades[ev_years == last].mean() - grades[ev_years == first].mean() if first != last else 0.0
+    return all_events, gpa, stem_gap, dispersion, trend

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
+from admitsim import cohort as cohorts
 from admitsim.cohort import (
     ApplicationEvent,
     Cohort,
@@ -230,6 +233,37 @@ def test_generator_bytes_are_pinned(tmp_path, overrides, seed, digest):
     path = tmp_path / "cohort.jsonl"
     save_cohort(generate_cohort(GeneratorConfig(**overrides), seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_students": 1100, "n_programs": 7},
+        # about 130 grades per student: numpy's std splits each row's sum in two
+        {"n_students": 60, "mean_grade_events": 130},
+    ],
+    ids=["past-one-block", "long-rows"],
+)
+def test_block_generator_matches_per_student_reference(monkeypatch, overrides):
+    config = GeneratorConfig(**overrides)
+    fast = generate_cohort(config, seed=2)
+    monkeypatch.setattr(cohorts, "_grade_events", oracles.grade_events_per_student)
+    slow = generate_cohort(config, seed=2)
+    assert fast.students == slow.students
+    assert fast.meta == slow.meta
+
+
+@pytest.mark.parametrize("n_students", [1, 3])
+def test_tiny_cohorts_warn_nothing(n_students):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        made = [generate_cohort(GeneratorConfig(n_students=n_students), seed=seed) for seed in range(20)]
+    # the seeds include cohorts where nobody opts into quota 2
+    assert any(not any(_opted_in(s) for s in c.students) for c in made)
+
+
+def _opted_in(student) -> bool:
+    return any(isinstance(e, ApplicationEvent) and e.quota2_opt_in for e in student.events)
 
 
 def test_load_names_the_line_of_an_invalid_student(tmp_path, cohort):
