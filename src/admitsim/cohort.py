@@ -409,7 +409,7 @@ def _draw_block(rng, years, n_hs, n_prim, n_inst):
         uniforms.append(rng.random(k_hs + k_pr))
         hs_years.append(rng.integers(y - 3, y, size=k_hs))
         noise.append(rng.normal(0.0, 1.9, size=k_hs + k_pr))
-        hs_school = f"hs{rng.integers(n_inst[0]):03d}"
+        hs_school = f"hs{rng.integers(n_inst[0]):03d}"  # drawn before the primary school
         schools.append((f"ps{rng.integers(n_inst[1]):03d}", hs_school))
         picks.append(rng.integers(3, size=k_pr + 2 * k_hs))
     return (
