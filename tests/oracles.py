@@ -3,7 +3,8 @@
 Everything here is written for clarity over speed and stays independent of
 the fast paths it checks: direct series summation, pairwise concordance counts,
 fine-grid quadrature, brute-force scans, an LSTM unrolled into one
-autograd node per elementary operation and time step, a split finder that
+autograd node per elementary operation and time step, a transformer whose
+every block runs on every position, a split finder that
 tries every cut of one node, the numpy-reduction feature extractor, a
 token grid written one cell at a time, and a grade-event generator that
 draws and builds one student and one event at a time.
@@ -148,6 +149,56 @@ def lstm_per_step(x, layers, lengths):
         m = real[:, t : t + 1]
         last = ag.add(ag.mul(last, ag.tensor(1.0 - m)), ag.mul(hidden[-1], ag.tensor(m)))
     return last
+
+
+def transformer_full_sequence(model, emb, lengths, training=False, rng=None):
+    """A ``TransformerClassifier``'s logits with every block on every position.
+
+    Each block, the last included, computes queries, attention, the
+    feed-forward layer and dropout for all L positions, and the final layer
+    norm runs over all of them before position 0 is read as the pooled
+    summary.  Dropout masks come from ``ag.dropout`` on full shapes, in the
+    order attention, attention residual, feed-forward residual per block.
+    """
+    import admitsim.autograd as ag
+    from admitsim.models.sequence import _MASK_OFF
+
+    cfg = model.config
+    p = model._params
+    b, l, h = emb.shape
+    nh = cfg.n_heads
+    hd = h // nh
+    scale = 1.0 / math.sqrt(hd)
+    lengths = np.asarray(lengths)
+    key_off = np.where(np.arange(l)[None, :] >= lengths[:, None], _MASK_OFF, 0.0)
+    mask = ag.tensor(key_off[:, None, None, :].astype(model.dtype))
+
+    x = emb
+    for i in range(cfg.n_layers):
+        blk = f"block{i}."
+        a = ag.layer_norm(x, p[blk + "ln1.gain"], p[blk + "ln1.bias"])
+
+        def heads(name):
+            proj = ag.add(ag.matmul(a, p[blk + name]), p[blk + name.replace("w", "b")])
+            return ag.transpose(ag.reshape(proj, (b, l, nh, hd)), (0, 2, 1, 3))
+
+        q, k, v = heads("wq"), heads("wk"), heads("wv")
+        scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), scale)
+        att = ag.softmax(ag.add(scores, mask), axis=-1)
+        att = ag.dropout(att, cfg.dropout, rng, training)
+        ctx = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (b, l, h))
+        proj = ag.add(ag.matmul(ctx, p[blk + "wo"]), p[blk + "bo"])
+        x = ag.add(x, ag.dropout(proj, cfg.dropout, rng, training))
+
+        a2 = ag.layer_norm(x, p[blk + "ln2.gain"], p[blk + "ln2.bias"])
+        f = ag.gelu(ag.add(ag.matmul(a2, p[blk + "ff1.weight"]), p[blk + "ff1.bias"]))
+        f = ag.add(ag.matmul(f, p[blk + "ff2.weight"]), p[blk + "ff2.bias"])
+        x = ag.add(x, ag.dropout(f, cfg.dropout, rng, training))
+
+    x = ag.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
+    pooled = ag.select_positions(x, np.zeros(b, dtype=np.int64))
+    logits = ag.add(ag.matmul(pooled, p["head.weight"]), p["head.bias"])
+    return ag.reshape(logits, (b,))
 
 
 def split_candidates(x, g, h, lam: float, alpha: float):

@@ -30,7 +30,7 @@ from admitsim.seqenc import (
     fit_binning_rules,
     sequence_lengths,
 )
-from oracles import max_rel_err, numeric_gradient
+from oracles import max_rel_err, numeric_gradient, transformer_full_sequence
 
 VOCAB = 24
 
@@ -172,6 +172,39 @@ def test_transformer_gradcheck():
 def test_lstm_gradcheck():
     model = tiny_lstm()
     check_param_grads(model, rand_batch(n=3, c=3, length=5, seed=13))
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_transformer_matches_full_sequence_oracle(n_layers, training):
+    cfg = TransformerConfig(n_layers=n_layers, hidden=8, n_heads=2, ff_hidden=16, dropout=0.3, dtype="float64")
+    model = TransformerClassifier(VOCAB, cfg, seed=6)
+    # weights far from the small init, so every path carries a visible gradient
+    rng = substream(6, "oracle-weights")
+    for p in model.params():
+        p.data = rng.normal(0.0, 0.5, p.shape)
+        p.data[list(p.frozen_rows)] = 0.0
+    batch = rand_batch(n=6, length=7, seed=14)
+    tokens, lengths = batch.tokens.copy(), batch.lengths.copy()
+    tokens[2], lengths[2] = PAD, 0
+    v = rng.standard_normal(len(lengths))
+
+    results = []
+    for build in (model.forward_from_embeddings, lambda *a: transformer_full_sequence(model, *a)):
+        for p in model.params():
+            p.zero_grad()
+        drop_rng = np.random.default_rng(21)
+        emb = model.embed(tokens)
+        logits = build(emb, lengths, training, drop_rng)
+        ag.backward(ag.tsum(ag.mul(logits, ag.tensor(v))))
+        grads = {p.name: p.grad.copy() for p in model.params()}
+        results.append((logits.data, grads, emb.grad, drop_rng.random()))
+    (got, got_grads, got_emb, got_next), (want, want_grads, want_emb, want_next) = results
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for name, wg in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], wg, rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(got_emb, want_emb, rtol=0, atol=1e-12)
+    assert got_next == want_next
 
 
 # ---------------------------------------------------------------------------
