@@ -8,7 +8,12 @@ exact no-ops.  No positional encodings are added; the relative-year
 channel already carries event timing.
 
 The transformer is pre-norm with a final layer norm and reads the
-prepended first position as its pooled summary.  The LSTM reads the
+prepended first position as its pooled summary.  Its last block computes
+only that pooled position: keys and values span the whole sequence, while
+queries, the residual stream, the feed-forward layer and the final layer
+norm see position 0 alone.  Each dropout mask there is the leading slice of
+a mask drawn over the full shape, so the dropout stream is the same as if
+every position had been computed.  The LSTM reads the
 hidden state at each student's last real position.  Training is AdamW
 with linear warmup and cosine decay, early stopping on validation loss,
 and restoration of the best epoch's weights.
@@ -101,6 +106,16 @@ class _SequenceModel:
 
 
 class TransformerClassifier(_SequenceModel):
+    """Pre-norm transformer encoder pooled at position 0.
+
+    Every block but the last runs on all L positions.  The last block feeds
+    only position 0's query through attention, the output projection, the
+    feed-forward layer and the final layer norm, since no other position
+    reaches the logits.  Its dropout masks are slices of full-shape draws
+    ((B, heads, L, L) for attention, (B, L, H) for the residuals), so the
+    rng advances exactly as it would for the unpruned block.
+    """
+
     arch = "transformer"
     default_batch_size = 512
 
@@ -151,28 +166,47 @@ class TransformerClassifier(_SequenceModel):
         for i in range(cfg.n_layers):
             blk = f"block{i}."
             a = ag.layer_norm(x, p[blk + "ln1.gain"], p[blk + "ln1.bias"])
+            # the last block runs its queries, residual and feed-forward on the
+            # pooled position 0 only; its keys and values still span every position
+            lq = 1 if i == cfg.n_layers - 1 else l
+            aq = a
+            if lq < l:
+                x, aq = ag.narrow(x, 1, 0, lq), ag.narrow(a, 1, 0, lq)
 
-            def heads(name):
-                proj = ag.add(ag.matmul(a, p[blk + name]), p[blk + name.replace("w", "b")])
-                return ag.transpose(ag.reshape(proj, (b, l, nh, hd)), (0, 2, 1, 3))
+            def heads(src, name):
+                proj = ag.add(ag.matmul(src, p[blk + name]), p[blk + name.replace("w", "b")])
+                return ag.transpose(ag.reshape(proj, (b, src.shape[1], nh, hd)), (0, 2, 1, 3))
 
-            q, k, v = heads("wq"), heads("wk"), heads("wv")
+            q, k, v = heads(aq, "wq"), heads(a, "wk"), heads(a, "wv")
             scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), scale)
             att = ag.softmax(ag.add(scores, mask), axis=-1)
-            att = ag.dropout(att, cfg.dropout, rng, training)
-            ctx = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (b, l, h))
+            att = _dropout(att, cfg.dropout, rng, training, (b, nh, l, l))
+            ctx = ag.reshape(ag.transpose(ag.matmul(att, v), (0, 2, 1, 3)), (b, lq, h))
             proj = ag.add(ag.matmul(ctx, p[blk + "wo"]), p[blk + "bo"])
-            x = ag.add(x, ag.dropout(proj, cfg.dropout, rng, training))
+            x = ag.add(x, _dropout(proj, cfg.dropout, rng, training, (b, l, h)))
 
             a2 = ag.layer_norm(x, p[blk + "ln2.gain"], p[blk + "ln2.bias"])
             f = ag.gelu(ag.add(ag.matmul(a2, p[blk + "ff1.weight"]), p[blk + "ff1.bias"]))
             f = ag.add(ag.matmul(f, p[blk + "ff2.weight"]), p[blk + "ff2.bias"])
-            x = ag.add(x, ag.dropout(f, cfg.dropout, rng, training))
+            x = ag.add(x, _dropout(f, cfg.dropout, rng, training, (b, l, h)))
 
         x = ag.layer_norm(x, p["final_ln.gain"], p["final_ln.bias"])
-        pooled = ag.select_positions(x, np.zeros(b, dtype=np.int64))
+        pooled = ag.reshape(x, (b, h))
         logits = ag.add(ag.matmul(pooled, p["head.weight"]), p["head.bias"])
         return ag.reshape(logits, (b,))
+
+
+def _dropout(a: ag.Tensor, rate: float, rng, training: bool, full_shape: tuple[int, ...]) -> ag.Tensor:
+    """``ag.dropout`` on ``a``, a leading slice of a tensor of ``full_shape``.
+
+    The mask is the same slice of a mask drawn over ``full_shape``, so the
+    rng advances as if the whole tensor had been dropped out.
+    """
+    if not training or rate <= 0.0:
+        return a
+    u = rng.random(full_shape)[tuple(slice(0, n) for n in a.shape)]
+    keep = (u >= rate).astype(a.dtype) / (1.0 - rate)
+    return ag.mul(a, ag.tensor(keep))
 
 
 class LSTMClassifier(_SequenceModel):
