@@ -166,12 +166,13 @@ class TransformerClassifier(_SequenceModel):
         for i in range(cfg.n_layers):
             blk = f"block{i}."
             a = ag.layer_norm(x, p[blk + "ln1.gain"], p[blk + "ln1.bias"])
-            # the last block runs its queries, residual and feed-forward on the
-            # pooled position 0 only; its keys and values still span every position
-            lq = 1 if i == cfg.n_layers - 1 else l
             aq = a
-            if lq < l:
-                x, aq = ag.narrow(x, 1, 0, lq), ag.narrow(a, 1, 0, lq)
+            if i == cfg.n_layers - 1:
+                # only position 0 reaches the logits: the last block runs its query,
+                # residual and feed-forward there alone, against keys and values
+                # over every position
+                x, aq = ag.narrow(x, 1, 0, 1), ag.narrow(a, 1, 0, 1)
+            lq = aq.shape[1]
 
             def heads(src, name):
                 proj = ag.add(ag.matmul(src, p[blk + name]), p[blk + name.replace("w", "b")])
