@@ -104,18 +104,11 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with a name; ``frozen_rows`` stay pinned at zero."""
 
-    __slots__ = ("name", "trainable", "frozen_rows")
+    __slots__ = ("name", "frozen_rows")
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        name: str,
-        trainable: bool = True,
-        frozen_rows: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, data: np.ndarray, name: str, frozen_rows: tuple[int, ...] = ()) -> None:
         super().__init__(np.asarray(data), requires_grad=True)
         self.name = name
-        self.trainable = trainable
         self.frozen_rows = frozen_rows
         for r in frozen_rows:
             self.data[r] = 0.0
@@ -532,7 +525,7 @@ class AdamW:
         eps: float = 1e-8,
         weight_decay: float = 0.01,
     ) -> None:
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

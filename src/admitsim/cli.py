@@ -330,10 +330,12 @@ def _validate(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path: str, seed: int | None = None, out_dir: str | None = None) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
     """Load, validate, and resolve a run configuration file.
 
-    ``seed`` and ``out_dir`` override the corresponding config entries.
+    ``overrides`` maps dotted config keys (``"seed"``, ``"evaluation.fractions"``)
+    to values that replace the file's before validation, so an override is
+    checked and hashed like any other entry.
     """
     if not os.path.exists(path):
         _fail(f"config file not found: {path}")
@@ -344,14 +346,13 @@ def load_config(path: str, seed: int | None = None, out_dir: str | None = None) 
             _fail(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         _fail("config must be a JSON object")
-    cfg = _validate(raw)
-    if seed is not None:
-        if seed < 0:
-            _fail("seed must be non-negative")
-        cfg["seed"] = seed
-    if out_dir is not None:
-        cfg["out_dir"] = out_dir
-    return cfg
+    for key, value in (overrides or {}).items():
+        section, _, name = key.rpartition(".")
+        node = raw.setdefault(section, {}) if section else raw
+        # a section that is not an object is left for _validate to name
+        if isinstance(node, dict):
+            node[name] = value
+    return _validate(raw)
 
 
 def config_hash(cfg: dict) -> str:
@@ -664,10 +665,7 @@ def cmd_contract(cfg: dict, args) -> int:
     split = args.split
     table = RiskTable.from_csv(_require(out, _risk_file(split), "predict"))
     ev = cfg["evaluation"]
-    groupings = [args.grouping] if args.grouping else ev["groupings"]
-    fractions = [args.fraction] if args.fraction is not None else ev["fractions"]
-    if any(not 0.0 < f < 1.0 for f in fractions):
-        raise ConfigError("contraction fractions must lie in (0, 1)")
+    groupings, fractions = ev["groupings"], ev["fractions"]
 
     curve_rows = []
     for grouping in groupings:
@@ -704,7 +702,7 @@ def cmd_audit_fairness(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     split = args.split
     table = RiskTable.from_csv(_require(out, _risk_file(split), "predict"))
-    attributes = [args.attribute] if args.attribute else cfg["fairness"]["attributes"]
+    attributes = cfg["fairness"]["attributes"]
     alpha = cfg["fairness"]["alpha"]
 
     test_rows = []
@@ -767,7 +765,7 @@ def cmd_explain(cfg: dict, args) -> int:
 def cmd_match(cfg: dict, args) -> int:
     out = _ensure_out(cfg)
     cohort = load_cohort(_require(out, COHORT_FILE, "generate"))
-    year = args.year if args.year is not None else cfg["match"]["year"]
+    year = cfg["match"]["year"]
     years = cohort.years()
     if year is None:
         year = max(years)
@@ -782,11 +780,7 @@ def cmd_match(cfg: dict, args) -> int:
             (ev for ev in student.events if isinstance(ev, ApplicationEvent)),
             key=lambda ev: ev.rank,
         )
-        prefs, seen = [], set()
-        for ev in apps:
-            if ev.program_id not in seen:
-                seen.add(ev.program_id)
-                prefs.append(ev.program_id)
+        prefs = tuple(dict.fromkeys(ev.program_id for ev in apps))
         if not prefs:
             continue
         quota2 = {
@@ -794,14 +788,13 @@ def cmd_match(cfg: dict, args) -> int:
             for ev in apps
             if ev.quota2_opt_in and ev.human_rank_decile is not None
         }
-        applicants.append(Applicant(id=student.id, gpa=student.gpa, prefs=tuple(prefs), quota2_ranks=quota2))
+        applicants.append(Applicant(id=student.id, gpa=student.gpa, prefs=prefs, quota2_ranks=quota2))
 
     programs = [
         ProgramSeats(p.program_id, p.seats_q1, p.seats_q2)
         for p in sorted(cohort.programs.values(), key=lambda p: p.program_id)
     ]
     instance = MatchInstance(applicants=applicants, programs=programs)
-    instance.validate()
     outcome = david_q_match(instance)
     blocking = check_stability(instance, outcome)
 
@@ -912,12 +905,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON run configuration")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed (u64)")
     sub.add_argument("--out", default=None, help="override the config output directory")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="maximum worker processes; the pipeline is single-process, so this only caps it",
-    )
+
+
+# flag -> the config key it overrides; a flag for a list-valued key sets a one-entry list
+_FLAG_KEYS = {
+    "seed": "seed",
+    "out": "out_dir",
+    "fraction": "evaluation.fractions",
+    "grouping": "evaluation.groupings",
+    "attribute": "fairness.attributes",
+    "year": "match.year",
+}
+_LIST_FLAGS = {"fraction", "grouping", "attribute"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -972,10 +971,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        return args.func(cfg, args)
+        overrides = {
+            key: [value] if flag in _LIST_FLAGS else value
+            for flag, key in _FLAG_KEYS.items()
+            if (value := getattr(args, flag, None)) is not None
+        }
+        return args.func(load_config(args.config, overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,6 @@ __all__ = [
     "save_cohort",
     "load_cohort",
     "with_enrollment",
-    "grade_profile",
 ]
 
 # Danish 7-step scale
@@ -293,30 +292,6 @@ _STAGE_NAMES = np.array(SCHOOL_STAGES, dtype=object)
 def _nearest_step(values: np.ndarray) -> np.ndarray:
     mids = (_STEP_ARRAY[1:] + _STEP_ARRAY[:-1]) / 2.0
     return _STEP_ARRAY[np.searchsorted(mids, values)]
-
-
-def grade_profile(student: Student) -> tuple[float, float, float]:
-    """(stem gap, dispersion, trend) of the student's grade events.
-
-    stem gap: mean STEM grade minus overall mean; dispersion: grade std;
-    trend: mean of the final high-school year minus the first.  All zero
-    when the student has no grades.
-    """
-    grades = [(e.year, COURSE_CATALOG.get(e.course, "other"), e.grade) for e in student.events if isinstance(e, GradeEvent)]
-    if not grades:
-        return 0.0, 0.0, 0.0
-    values = np.array([g for _, _, g in grades], dtype=float)
-    overall = values.mean()
-    stem = [g for _, f, g in grades if f == "stem"]
-    stem_gap = (float(np.mean(stem)) - overall) if stem else 0.0
-    dispersion = float(values.std())
-    years = np.array([y for y, _, _ in grades])
-    first, last = years.min(), years.max()
-    if first == last:
-        trend = 0.0
-    else:
-        trend = float(values[years == last].mean() - values[years == first].mean())
-    return float(stem_gap), dispersion, trend
 
 
 def _solve_intercept(lin: np.ndarray, target: float) -> float:

@@ -75,11 +75,7 @@ DEFAULT_SCHEDULE = DiscountSchedule()
 
 def pv_three_period(a: float, schedule: DiscountSchedule = DEFAULT_SCHEDULE) -> float:
     """Present value of a constant yearly amount ``a`` from year 0 onward."""
-    r1, r2, r3 = schedule.r1, schedule.r2, schedule.r3
-    band1 = a * (1.0 - r1**36) / (1.0 - r1)
-    band2 = a * (1.0 - r2**35) / (1.0 - r2) * r2 * r1**35
-    band3 = a / (1.0 - r3) * r3 * r2**35 * r1**35
-    return band1 + band2 + band3
+    return pv_adjusted(a, 0, schedule)
 
 
 def pv_adjusted(a: float, k: int, schedule: DiscountSchedule = DEFAULT_SCHEDULE) -> float:

@@ -120,23 +120,24 @@ class BinningRule:
         return len(self.cuts) + 1
 
 
+def _nearest_rank(ordered, p: float):
+    """Nearest-rank ``p``-th percentile (``p`` in percent) of an ascending sequence."""
+    n = len(ordered)
+    return ordered[min(n - 1, max(0, int(np.ceil(p / 100.0 * n)) - 1))]
+
+
 def fit_binning(values, n_bins: int = 100) -> BinningRule:
     values = np.asarray(values, dtype=float)
     values = values[~np.isnan(values)]
     if values.size < 20:
         raise ValueError("need at least 20 training values for a stable winsor")
     s = np.sort(values)
-    n = s.size
-
-    def nearest_rank(p: float) -> float:
-        return float(s[min(n - 1, max(0, int(np.ceil(p / 100.0 * n)) - 1))])
-
-    lo, hi = nearest_rank(5), nearest_rank(95)
+    lo, hi = float(_nearest_rank(s, 5)), float(_nearest_rank(s, 95))
     if lo == hi:
         warnings.warn("constant column: every value maps to a single bin", stacklevel=2)
         return BinningRule(lo=lo, hi=hi, cuts=())
     w = np.sort(np.clip(s, lo, hi))
-    cuts = tuple(float(w[min(n - 1, max(0, int(np.ceil(k / 100.0 * n)) - 1))]) for k in range(1, n_bins))
+    cuts = tuple(float(_nearest_rank(w, k)) for k in range(1, n_bins))
     return BinningRule(lo=lo, hi=hi, cuts=cuts)
 
 
@@ -335,8 +336,7 @@ def compute_L(train_sequences: Sequence[int]) -> int:
     lengths = sorted(train_sequences)
     if not lengths:
         raise ValueError("no sequences")
-    rank = max(0, int(np.ceil(0.95 * len(lengths))) - 1)
-    return int(lengths[rank]) + 1
+    return int(_nearest_rank(lengths, 95)) + 1
 
 
 def encode_student(

@@ -78,7 +78,7 @@ def test_subcommand_help_documents_flags(capsys):
         cli.main(["contract", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--config", "--seed", "--out", "--jobs", "--fraction", "--grouping", "--split"):
+    for flag in ("--config", "--seed", "--out", "--fraction", "--grouping", "--split"):
         assert flag in text
 
 
@@ -115,12 +115,6 @@ def test_config_must_declare_version(tmp_path, capsys):
     path.write_text('{"seed": 1}', encoding="utf-8")
     assert run("generate", "--config", path, "--out", tmp_path / "out") == 1
     assert "version" in capsys.readouterr().err
-
-
-def test_jobs_rejects_zero(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.json")
-    assert run("generate", "--config", cfg, "--out", tmp_path / "out", "--jobs", 0) == 1
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_missing_artifact_names_producer(tmp_path, capsys):
@@ -283,6 +277,41 @@ def test_seed_override_changes_config_hash(pipeline, tmp_path):
     assert manifest["config_hash"] != base["config_hash"]
 
 
+def _manifest_hash(out, command):
+    return json.loads((out / f"manifest_{command}.json").read_text(encoding="utf-8"))["config_hash"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, keys",
+    [
+        ("contract", ["--fraction", 0.2, "--grouping", "ungrouped"],
+         {"evaluation": {"fractions": [0.2], "groupings": ["ungrouped"]}}),
+        ("audit-fairness", ["--attribute", "female"], {"fairness": {"attributes": ["female"]}}),
+        ("match", ["--year", 2006], {"match": {"year": 2006}}),
+    ],
+    ids=["contract", "audit-fairness", "match"],
+)
+def test_override_flags_reach_config_hash(pipeline, tmp_path, command, flags, keys):
+    # a flag sets its config key: the manifest hashes as if the config file set it
+    cfg, out = pipeline
+    flagged, keyed = tmp_path / "flagged", tmp_path / "keyed"
+    for run_dir in (flagged, keyed):
+        shutil.copytree(out, run_dir)
+    assert run(command, "--config", cfg, "--out", flagged, *flags) == 0
+    with open(cfg, encoding="utf-8") as fh:
+        settings = json.load(fh)
+    assert run(command, "--config", write_config(tmp_path / "keyed.json", **{**settings, **keys}), "--out", keyed) == 0
+    assert _manifest_hash(flagged, command) == _manifest_hash(keyed, command)
+    # generate's manifest holds the default run's hash; no test reruns generate into this run
+    assert _manifest_hash(flagged, command) != _manifest_hash(out, "generate")
+
+
+def test_contract_fraction_flag_is_validated(pipeline, tmp_path, capsys):
+    cfg, _ = pipeline
+    assert run("contract", "--config", cfg, "--out", tmp_path, "--fraction", 1.5) == 1
+    assert "evaluation.fractions" in capsys.readouterr().err
+
+
 def test_explain_rejects_tabular_model(pipeline, capsys):
     cfg, out = pipeline
     assert run("explain", "--config", cfg, "--out", out) == 1
@@ -349,10 +378,6 @@ def assert_same_files(first, second):
 
 def test_rerun_is_byte_identical(tmp_path):
     assert_same_files(_tabular_run(tmp_path / "a"), _tabular_run(tmp_path / "b"))
-
-
-def test_jobs_flag_leaves_run_directory_unchanged(tmp_path):
-    assert_same_files(_tabular_run(tmp_path / "a", "--jobs", 1), _tabular_run(tmp_path / "b", "--jobs", 2))
 
 
 def test_predict_matches_in_memory_tabular_model(tmp_path):

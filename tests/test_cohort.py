@@ -19,7 +19,6 @@ from admitsim.cohort import (
     Program,
     Student,
     generate_cohort,
-    grade_profile,
     load_cohort,
     save_cohort,
     temporal_split,
@@ -125,14 +124,6 @@ def test_grade_profile_signal_present(cohort):
     # within narrow GPA windows the planted probability still varies widely
     spreads = [p_sorted[i : i + 40].std() for i in range(0, len(p_sorted) - 40, 40)]
     assert np.median(spreads) > 0.03
-
-
-def test_grade_profile_helper(cohort):
-    s = cohort.students[0]
-    stem_gap, dispersion, trend = grade_profile(s)
-    assert dispersion > 0
-    grades = [e.grade for e in s.events if isinstance(e, GradeEvent)]
-    assert dispersion == pytest.approx(np.std(grades))
 
 
 def test_temporal_split_partition(cohort):
